@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import argparse
 import copy
+import csv
+import io
 import json
 import math
 import os
@@ -144,7 +146,7 @@ def _validate(cfg: dict):
     uv = _require_number(cfg, "cutoffs.omega_uv", minimum=0.0, strict=True)
     if lam >= uv:
         raise ConfigError("cutoffs.lambda_ir", "must be < cutoffs.omega_uv")
-    beta = _require_number(cfg, "cutoffs.beta", minimum=0.0, strict=True, allow_none=True)
+    _require_number(cfg, "cutoffs.beta", minimum=0.0, strict=True, allow_none=True)
     _require_number(cfg, "charge.Q")
     _require_number(cfg, "charge.alpha", minimum=0.0, strict=True)
     for key, lo in (
@@ -188,8 +190,6 @@ def _validate(cfg: dict):
             raise ConfigError("sweep.parameter", f"unknown parameter {param!r}")
         if sweep["scale"] == "log" and sweep["start"] <= 0:
             raise ConfigError("sweep.start", "log scale requires start > 0")
-    if beta is not None and beta <= 0:
-        raise ConfigError("cutoffs.beta", "must be > 0")
 
 
 def load_config(path: str | None, environ=None) -> dict:
@@ -363,10 +363,11 @@ def cmd_sweep(cfg, out_path, threads=1) -> int:
             rows = list(pool.map(lambda v: _sweep_row(cfg, param, v), values))
     else:
         rows = [_sweep_row(cfg, param, v) for v in values]
-    lines = [",".join(CSV_COLUMNS)]
-    for row in rows:
-        lines.append(",".join(str(row[col]) for col in CSV_COLUMNS))
-    text = "\n".join(lines) + "\n"
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(CSV_COLUMNS)
+    writer.writerows([row[col] for col in CSV_COLUMNS] for row in rows)
+    text = buf.getvalue()
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text)

@@ -1,14 +1,23 @@
 """Decoherence functionals of the two-path interferometer.
 
-Every variant (undressed, dressed, purely sub-leading, hard-only) is the
-same double integral
+Every variant (undressed, dressed, purely sub-leading, hard-only) factorizes
+as Gamma = e^2/(4 (2 pi)^3) * I_n * Int dw |c(w)|^2 [coth(beta w / 2)] / w,
+with I_n the angular integral of the exact velocity bracket bilinear and
+c(w) the dipole coefficient of the selected current pieces: c_div = -i,
+c_sub = 2x, c_hard = c_dressed - c_sub, c_dressed = -2i expm1(ix), x = w tau.
+So every variant, and the sub/hard cross term, contracts one Gram matrix
+Int Re(c_i conj(c_j)) [coth] dw/w in the basis (div, sub, dressed).  Its
+pointwise entries are dd = 1, ss = 4x^2, DD = 16 sin^2(x/2), sD = 4x sin x,
+dD = -DD/4 and ds = 0.  One angular and one panelled frequency pass over
+these four rows give dressed = DD, sub = ss, hard = ss + DD - 2 sD and
+cross = 2 sD - 2 ss over [0, Omega], and full = dd + DD + 2 dD = dd + DD/2
+over [lambda, Omega] only.
 
-    Gamma = e^2/(4 (2 pi)^3) * Int dw |c(w)|^2 / w [coth(beta w / 2)] * I_n
-
-where c(w) is the scalar dipole coefficient of the selected current pieces
-and I_n is the angular integral of the exact velocity bracket bilinear.
-Closed forms from the cosine-integral and atanh identities provide the
-independent cross-checks.
+Hard is never a basis vector: c_sub and c_hard both grow like Omega tau, so
+a (sub, hard) basis would build dressed = ss + hh + 2 sh by cancelling terms
+of order (Omega tau)^2 down to one of order ln(Omega tau), losing about
+eleven digits at Omega tau = 1e6.  Closed forms from the cosine-integral and
+atanh identities provide the independent cross-checks.
 """
 
 from __future__ import annotations
@@ -18,7 +27,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .currents import dipole_coefficients
 from .kinematics import FourVector, InterferometerGeometry, PhotonMomentum
 from .numerics import (
     E2_ELECTRON,
@@ -27,7 +35,8 @@ from .numerics import (
     QuadratureSpec,
     cosine_integral,
     atanh_over_x,
-    freq_integrate,
+    freq_integrate,  # noqa: F401  (re-exported; bench/spans.py wraps it here)
+    freq_integrate_rows,
     sphere_integrate,
 )
 
@@ -52,6 +61,7 @@ __all__ = [
 ]
 
 _ALL_PARTS = ("div", "sub", "hard")
+_PARTS = {"full": _ALL_PARTS, "dressed": ("sub", "hard"), "sub": ("sub",), "hard": ("hard",)}
 
 
 class IRDivergenceError(ValueError):
@@ -112,23 +122,55 @@ def angular_integral(
     return sphere_integrate(angular_bracket(g), spec)
 
 
-def _freq_weight(parts, tau: float, beta: float | None):
-    def w(omega):
-        omega = np.asarray(omega, dtype=float)
-        wt = omega * tau
-        c = np.zeros_like(wt, dtype=complex)
-        if "div" in parts:
-            c += -1j
-        if "sub" in parts:
-            c += 2.0 * wt
-        if "hard" in parts:
-            c += 2j * (-np.expm1(1j * wt) + 1j * wt)
-        out = np.abs(c) ** 2 / omega
-        if beta is not None:
-            out *= 1.0 / np.tanh(0.5 * beta * omega)
-        return out
+def _pieces_weights(parts) -> tuple:
+    """Weights of the rows (dd, ss, DD, sD) in |c|^2, c the sum of the pieces.
 
-    return w
+    Basis (div, sub, dressed): div = (1, 0, 0), sub = (0, 1, 0), hard = (0, -1, 1).
+    """
+    d = float("div" in parts)
+    h = float("hard" in parts)
+    s = float("sub" in parts) - h
+    return (d * d, s * s, h * h - 0.5 * d * h, 2.0 * s * h)
+
+
+def _gram_rows(omega, tau: float, beta: float | None):
+    """The rows dd, ss, DD, sD at x = w tau, each times [coth(beta w / 2)] / w."""
+    w = 1.0 / omega if beta is None else 1.0 / (omega * np.tanh(0.5 * beta * omega))
+    x = omega * tau
+    s, c = np.sin(0.5 * x), np.cos(0.5 * x)
+    return np.stack([w, 4.0 * x * x * w, 16.0 * s * s * w, 8.0 * x * s * c * w])
+
+
+def _gammas(g: InterferometerGeometry, cut: CutoffSet, spec, e2, requests) -> list:
+    """Gamma for each (row weights, lo) request from one angular and one frequency pass.
+
+    The frequency pass is split at every lo; the div row dd = 1/w needs lo > 0.
+    Each frequency error is the contracted GL-24 sum minus the GL-12 one.
+    """
+    if g.v == 0.0:
+        return [QuadratureResult(0.0, 0.0, True)] * len(requests)
+    if any(weights[0] and lo <= 0 for weights, lo in requests):
+        raise IRDivergenceError(
+            "undressed functional needs lambda_ir > 0: the leading soft current "
+            "difference scales as 1/omega, so the frequency integral diverges "
+            "like ln(1/lambda) as lambda -> 0"
+        )
+    ang = angular_integral(g, spec)
+    breaks = np.append(np.unique([lo for _, lo in requests]), cut.omega_uv)
+    rows = freq_integrate_rows(lambda w: _gram_rows(w, g.tau, cut.beta), breaks, g.tau, spec)
+    # sums over [breaks[k], omega_uv]: the segments added from the top down
+    coarse, fine = (np.cumsum(s[::-1], axis=0)[::-1] for s in rows)
+    pref = e2 / (4.0 * (2.0 * math.pi) ** 3)
+    out = []
+    for weights, lo in requests:
+        k = np.searchsorted(breaks, lo)
+        freq = QuadratureResult.from_pair(
+            float(coarse[k] @ weights), float(fine[k] @ weights), spec
+        )
+        value = pref * ang.value * freq.value
+        err = pref * (abs(ang.error * freq.value) + abs(ang.value * freq.error))
+        out.append(QuadratureResult(value, err, ang.converged and freq.converged))
+    return out
 
 
 def gamma_variant(
@@ -146,18 +188,7 @@ def gamma_variant(
     """
     if lo is None:
         lo = cut.lambda_ir
-    if g.v == 0.0:
-        return QuadratureResult(0.0, 0.0, True)
-    ang = angular_integral(g, spec)
-    freq = freq_integrate(
-        _freq_weight(tuple(parts), g.tau, cut.beta), lo, cut.omega_uv, g.tau, spec
-    )
-    pref = e2 / (4.0 * (2.0 * math.pi) ** 3)
-    value = pref * ang.value * freq.value
-    err = pref * (
-        abs(ang.error * freq.value) + abs(ang.value * freq.error)
-    )
-    return QuadratureResult(value, err, ang.converged and freq.converged)
+    return _gammas(g, cut, spec, e2, [(_pieces_weights(parts), lo)])[0]
 
 
 def gamma_full(
@@ -167,12 +198,6 @@ def gamma_full(
     e2: float = E2_ELECTRON,
 ) -> QuadratureResult:
     """Undressed functional; diverges logarithmically as lambda_ir -> 0."""
-    if cut.lambda_ir <= 0 and g.v > 0:
-        raise IRDivergenceError(
-            "undressed functional needs lambda_ir > 0: the leading soft current "
-            "difference scales as 1/omega, so the frequency integral diverges "
-            "like ln(1/lambda) as lambda -> 0"
-        )
     return gamma_variant(g, cut, spec, parts=_ALL_PARTS, e2=e2)
 
 
@@ -183,7 +208,7 @@ def gamma_dressed(
     e2: float = E2_ELECTRON,
 ) -> QuadratureResult:
     """Dressed functional: divergent current decoupled, IR-finite at lambda = 0."""
-    return gamma_variant(g, cut, spec, parts=("sub", "hard"), e2=e2, lo=0.0)
+    return gamma_variant(g, cut, spec, _PARTS["dressed"], e2, lo=0.0)
 
 
 def gamma_sub(
@@ -192,7 +217,7 @@ def gamma_sub(
     spec: QuadratureSpec = QuadratureSpec(),
     e2: float = E2_ELECTRON,
 ) -> QuadratureResult:
-    return gamma_variant(g, cut, spec, parts=("sub",), e2=e2, lo=0.0)
+    return gamma_variant(g, cut, spec, _PARTS["sub"], e2, lo=0.0)
 
 
 def gamma_hard(
@@ -201,7 +226,7 @@ def gamma_hard(
     spec: QuadratureSpec = QuadratureSpec(),
     e2: float = E2_ELECTRON,
 ) -> QuadratureResult:
-    return gamma_variant(g, cut, spec, parts=("hard",), e2=e2, lo=0.0)
+    return gamma_variant(g, cut, spec, _PARTS["hard"], e2, lo=0.0)
 
 
 def gamma_cross_term(
@@ -210,26 +235,11 @@ def gamma_cross_term(
     spec: QuadratureSpec = QuadratureSpec(),
     e2: float = E2_ELECTRON,
 ) -> QuadratureResult:
-    """Sub/hard interference term, so that dressed = sub + hard + cross."""
-    if g.v == 0.0:
-        return QuadratureResult(0.0, 0.0, True)
+    """Sub/hard interference term 2 Re(c_sub conj(c_hard)) = 2 sD - 2 ss.
 
-    def w(omega):
-        omega = np.asarray(omega, dtype=float)
-        wt = omega * g.tau
-        c_sub = 2.0 * wt
-        c_hard = 2j * (-np.expm1(1j * wt) + 1j * wt)
-        out = 2.0 * np.real(c_sub * np.conj(c_hard)) / omega
-        if cut.beta is not None:
-            out *= 1.0 / np.tanh(0.5 * cut.beta * omega)
-        return out
-
-    ang = angular_integral(g, spec)
-    freq = freq_integrate(w, 0.0, cut.omega_uv, g.tau, spec)
-    pref = e2 / (4.0 * (2.0 * math.pi) ** 3)
-    value = pref * ang.value * freq.value
-    err = pref * (abs(ang.error * freq.value) + abs(ang.value * freq.error))
-    return QuadratureResult(value, err, ang.converged and freq.converged)
+    With it, dressed = sub + hard + cross.
+    """
+    return _gammas(g, cut, spec, e2, [((0.0, -2.0, 0.0, 2.0), 0.0)])[0]
 
 
 @dataclass(frozen=True)
@@ -336,28 +346,20 @@ def decoherence_report(
     """
     if include_full is None:
         include_full = cut.lambda_ir > 0
-    errors = {}
-    full = None
-    conv = True
-    if include_full:
-        r = gamma_full(g, cut, spec, e2)
-        full, errors["gamma_full"] = r.value, r.error
-        conv = r.converged
-    rd = gamma_dressed(g, cut, spec, e2)
-    rs = gamma_sub(g, cut, spec, e2)
-    rh = gamma_hard(g, cut, spec, e2)
-    errors["gamma_dressed"] = rd.error
-    errors["gamma_sub"] = rs.error
-    errors["gamma_hard"] = rh.error
-    conv = conv and rd.converged and rs.converged and rh.converged
+    names = [name for name in _PARTS if include_full or name != "full"]
+    requests = [
+        (_pieces_weights(_PARTS[name]), cut.lambda_ir if name == "full" else 0.0)
+        for name in names
+    ]
+    res = dict(zip(names, _gammas(g, cut, spec, e2, requests)))
     return DecoherenceReport(
-        gamma_full=full,
-        gamma_dressed=rd.value,
-        gamma_sub=rs.value,
-        gamma_hard=rh.value,
+        gamma_full=res["full"].value if include_full else None,
+        gamma_dressed=res["dressed"].value,
+        gamma_sub=res["sub"].value,
+        gamma_hard=res["hard"].value,
         closed=closed_forms(g, cut, e2),
-        errors=errors,
-        converged=conv,
+        errors={f"gamma_{name}": r.error for name, r in res.items()},
+        converged=all(r.converged for r in res.values()),
     )
 
 
@@ -387,20 +389,13 @@ def divergence_coefficient(
     """
     if cut.lambda_ir <= 0:
         raise ValueError("divergence_coefficient needs lambda_ir > 0")
-    if variant == "full":
-        parts = _ALL_PARTS
-    elif variant == "dressed":
-        parts = ("sub", "hard")
-    else:
+    if variant not in ("full", "dressed"):
         raise ValueError(f"unknown variant {variant!r}")
     lams = cut.lambda_ir * 0.5 ** np.arange(n_points)
     xs = np.log(1.0 / lams)
-    ys = np.array(
-        [
-            gamma_variant(g, cut, spec, parts=parts, e2=e2, lo=float(lam)).value
-            for lam in lams
-        ]
-    )
+    # one pass split at every rung: the ladder adds [lambda_k, lambda_{k-1}]
+    requests = [(_pieces_weights(_PARTS[variant]), lam) for lam in lams]
+    ys = np.array([r.value for r in _gammas(g, cut, spec, e2, requests)])
     b, a = np.polyfit(xs, ys, 1)
     resid = ys - (a + b * xs)
     sstot = float(np.sum((ys - ys.mean()) ** 2))

@@ -3,11 +3,14 @@
 Two integrators carry all of the numerical work: a product Gauss-Legendre x
 trapezoid rule on the unit sphere, and a panelled Gauss-Legendre rule on
 frequency intervals with panels aligned to the oscillation period 2*pi/tau.
-Both report an error gauge obtained by doubling the resolution.
+Both report an error gauge obtained by doubling the resolution.  The
+frequency rule evaluates its integrand once, at the GL-12 and GL-24 nodes
+of every panel together, and can sum a stack of integrand rows at once.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -25,6 +28,7 @@ __all__ = [
     "bessel_k2",
     "sphere_integrate",
     "freq_integrate",
+    "freq_integrate_rows",
 ]
 
 EULER_GAMMA = 0.57721566490153286061
@@ -32,7 +36,7 @@ FINE_STRUCTURE_ALPHA = 1.0 / 137.035999
 E2_ELECTRON = 4.0 * math.pi * FINE_STRUCTURE_ALPHA
 
 _GL_NODES = 12  # base Gauss-Legendre order per frequency panel
-_PANEL_CHUNK = 32768  # panels per vectorized block
+_PANEL_CHUNK = 8192  # panels per vectorized block
 
 
 @dataclass(frozen=True)
@@ -67,6 +71,12 @@ class QuadratureResult:
     def __float__(self):
         return self.value
 
+    @classmethod
+    def from_pair(cls, coarse: float, fine: float, spec: QuadratureSpec):
+        """The fine estimate, gauged by its distance to the coarse one."""
+        err = abs(fine - coarse)
+        return cls(fine, err, err <= spec.abs_tol + spec.rel_tol * abs(fine))
+
 
 def cosine_integral(x: float) -> float:
     """Cosine integral Ci(x) = gamma_EM + ln(x) - int_0^x (1-cos t)/t dt, x > 0."""
@@ -97,7 +107,9 @@ def bessel_k2(x: float) -> float:
     return float(_sp.k0(x) + 2.0 * _sp.k1(x) / x)
 
 
+@functools.lru_cache(maxsize=16)
 def _sphere_grid(n_theta: int, n_phi: int):
+    """Nodes and weights of the sphere rule; cached, so returned read-only."""
     u, wu = np.polynomial.legendre.leggauss(n_theta)  # u = cos(theta)
     phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
     s = np.sqrt(1.0 - u * u)
@@ -105,6 +117,8 @@ def _sphere_grid(n_theta: int, n_phi: int):
     ny = np.outer(s, np.sin(phi)).ravel()
     nz = np.outer(u, np.ones(n_phi)).ravel()
     w = np.outer(wu, np.full(n_phi, 2.0 * np.pi / n_phi)).ravel()
+    for a in (nx, ny, nz, w):
+        a.flags.writeable = False
     return nx, ny, nz, w
 
 
@@ -123,9 +137,7 @@ def sphere_integrate(f, spec: QuadratureSpec = QuadratureSpec()) -> QuadratureRe
     """
     coarse = _sphere_pass(f, spec.n_theta, spec.n_phi)
     fine = _sphere_pass(f, 2 * spec.n_theta, 2 * spec.n_phi)
-    err = abs(fine - coarse)
-    converged = err <= spec.abs_tol + spec.rel_tol * abs(fine)
-    return QuadratureResult(fine, err, converged)
+    return QuadratureResult.from_pair(coarse, fine, spec)
 
 
 def _panel_edges(lo: float, hi: float, tau: float, panels_per_period: int) -> np.ndarray:
@@ -149,19 +161,35 @@ def _panel_edges(lo: float, hi: float, tau: float, panels_per_period: int) -> np
     return np.unique(np.asarray(edges, dtype=float))
 
 
-def _panel_pass(g, edges: np.ndarray, order: int) -> float:
-    x, wx = np.polynomial.legendre.leggauss(order)
-    left = edges[:-1]
+@functools.lru_cache(maxsize=1)
+def _shared_rule():
+    """GL-12 and GL-24 nodes on [-1, 1] side by side, one weight column per order."""
+    x12, w12 = np.polynomial.legendre.leggauss(_GL_NODES)
+    x24, w24 = np.polynomial.legendre.leggauss(2 * _GL_NODES)
+    weights = np.zeros((3 * _GL_NODES, 2))
+    weights[:_GL_NODES, 0] = w12
+    weights[_GL_NODES:, 1] = w24
+    nodes = np.concatenate([x12, x24])
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
+def _panel_pass(g, edges: np.ndarray) -> np.ndarray:
+    """GL-12 and GL-24 sums of g over the panels, from one evaluation of g.
+
+    g returns one row of values per node array, or a stack of rows of shape
+    (k, n); the result has shape (2,) or (k, 2), coarse sum first.
+    """
+    x, wx = _shared_rule()
     half = 0.5 * np.diff(edges)
-    mid = left + half
+    mid = edges[:-1] + half
     total = 0.0
     for start in range(0, len(mid), _PANEL_CHUNK):
-        m = mid[start : start + _PANEL_CHUNK, None]
-        h = half[start : start + _PANEL_CHUNK, None]
-        nodes = m + h * x[None, :]
-        weights = h * wx[None, :]
+        h = half[start : start + _PANEL_CHUNK]
+        nodes = mid[start : start + _PANEL_CHUNK, None] + h[:, None] * x
         vals = np.asarray(g(nodes.ravel()), dtype=float)
-        total += float(np.sum(weights.ravel() * vals))
+        per_panel = vals.reshape(vals.shape[:-1] + nodes.shape) @ wx
+        total = total + h @ per_panel
     return total
 
 
@@ -184,9 +212,34 @@ def freq_integrate(
         raise ValueError("freq_integrate requires lo < hi")
     if lo < 0:
         raise ValueError("freq_integrate requires lo >= 0")
-    edges = _panel_edges(lo, hi, tau, spec.panels_per_period)
-    coarse = _panel_pass(g, edges, _GL_NODES)
-    fine = _panel_pass(g, edges, 2 * _GL_NODES)
-    err = abs(fine - coarse)
-    converged = err <= spec.abs_tol + spec.rel_tol * abs(fine)
-    return QuadratureResult(fine, err, converged)
+    coarse, fine = _panel_pass(g, _panel_edges(lo, hi, tau, spec.panels_per_period))
+    return QuadratureResult.from_pair(float(coarse), float(fine), spec)
+
+
+def freq_integrate_rows(
+    g,
+    breaks,
+    tau: float,
+    spec: QuadratureSpec = QuadratureSpec(),
+):
+    """GL-12 and GL-24 sums of a stack of rows over consecutive frequency segments.
+
+    g maps a numpy array of n frequencies to an array of k rows, shape
+    (k, n).  breaks = (b_0 < b_1 < ... < b_m), b_0 >= 0, cut [b_0, b_m] into
+    segments, each panelled as in freq_integrate.  Returns (coarse, fine),
+    each of shape (m, k): the integral of every row over every segment.
+    The caller gauges the error of any linear combination of rows from the
+    same combination of coarse and fine sums.
+    """
+    breaks = np.asarray(breaks, dtype=float)
+    if breaks.ndim != 1 or breaks.size < 2 or not np.all(np.diff(breaks) > 0):
+        raise ValueError("freq_integrate_rows requires increasing breaks")
+    if breaks[0] < 0:
+        raise ValueError("freq_integrate_rows requires breaks >= 0")
+    sums = np.stack(
+        [
+            _panel_pass(g, _panel_edges(lo, hi, tau, spec.panels_per_period))
+            for lo, hi in zip(breaks[:-1], breaks[1:])
+        ]
+    )
+    return sums[..., 0], sums[..., 1]

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 
@@ -147,6 +149,22 @@ def test_sweep_failed_rows_recorded(tmp_path):
     statuses = [ln.split(",")[-1] for ln in lines[1:]]
     assert statuses[0] == "ok"
     assert any(s.startswith("error") for s in statuses)
+
+
+def test_sweep_status_with_comma_stays_one_cell(tmp_path):
+    # the config error for l = -1 contains a comma; the row must still parse
+    # back to one cell per column, and comma-free rows stay unquoted
+    cfg = _sweep_cfg(points=2, start=-1.0, stop=1.0, parameter="geometry.l")
+    cfg["sweep"]["scale"] = "linear"
+    path = write_config(tmp_path, cfg)
+    out = tmp_path / "sweep.csv"
+    assert cli.main(["sweep", "--config", path, "--out", str(out)], environ={}) == 0
+    text = out.read_text()
+    rows = list(csv.reader(io.StringIO(text)))
+    assert [len(r) for r in rows] == [len(cli.CSV_COLUMNS)] * 3
+    assert rows[1][-1] == "error: config error at 'geometry.l': must be >= 0.0, got -1.0"
+    assert rows[2][-1] == "ok"
+    assert text.splitlines()[2] == ",".join(rows[2])
 
 
 def test_sweep_requires_block(tmp_path):

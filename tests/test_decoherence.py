@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import sici
 
 from softdeco import (
     CutoffSet,
@@ -25,7 +26,8 @@ from softdeco import (
     gamma_sub,
     gamma_variant,
 )
-from softdeco.numerics import E2_ELECTRON
+from softdeco import decoherence
+from softdeco.numerics import E2_ELECTRON, EULER_GAMMA
 
 FAST = QuadratureSpec(n_theta=16, n_phi=32)
 
@@ -130,6 +132,61 @@ def test_dressing_is_decoupling():
     a = gamma_dressed(g, cut).value
     b = gamma_variant(g, cut, parts=("sub", "hard"), lo=0.0).value
     assert a == b
+
+
+def test_variants_match_independent_closed_forms_at_wide_band():
+    # Omega tau = 1e5, lambda tau = 1e-4: a (sub, hard) basis would build the
+    # dressed value by cancelling terms of order 1e10 and miss it by ~2e-7
+    tau, wt, lt = 100.0, 1e5, 1e-4
+    g = InterferometerGeometry(10.0, tau)
+    cut = CutoffSet(omega_uv=wt / tau, lambda_ir=lt / tau)
+    rep = decoherence_report(g, cut)
+    v = g.v
+    v12 = math.sqrt(1.0 - (1.0 - v * v) ** 2)
+    ang = 8.0 * math.pi * (math.atanh(v12) / v12 - 1.0)
+    ci_w, ci_l = sici(wt)[1], sici(lt)[1]
+    freq_dressed = 8.0 * (EULER_GAMMA + math.log(wt) - ci_w)
+    freq_sub = 2.0 * wt * wt
+    freq = {
+        "dressed": freq_dressed,
+        "sub": freq_sub,
+        "hard": freq_dressed + freq_sub - 8.0 * (1.0 - math.cos(wt)),
+        "full": 5.0 * math.log(wt / lt) - 4.0 * (ci_w - ci_l),
+    }
+    pref = E2_ELECTRON / (4.0 * (2.0 * math.pi) ** 3) * ang
+    assert rep.converged
+    for name, f in freq.items():
+        got = getattr(rep, f"gamma_{name}")
+        assert got == pytest.approx(pref * f, rel=1e-10), name
+
+
+def _count_passes(monkeypatch):
+    calls = {"sphere_integrate": 0, "freq_integrate": 0, "freq_integrate_rows": 0}
+    for name in calls:
+        original = getattr(decoherence, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(decoherence, name, counted)
+    return calls
+
+
+def test_one_angular_and_one_frequency_pass_per_report(monkeypatch):
+    calls = _count_passes(monkeypatch)
+    g = InterferometerGeometry(0.2, 3.0)
+    decoherence_report(g, CutoffSet(omega_uv=15.0, lambda_ir=1e-4), FAST)
+    assert calls == {"sphere_integrate": 1, "freq_integrate": 0, "freq_integrate_rows": 1}
+
+
+def test_one_angular_and_one_frequency_pass_per_divergence_fit(monkeypatch):
+    calls = _count_passes(monkeypatch)
+    g = InterferometerGeometry(0.2, 3.0)
+    cut = CutoffSet(omega_uv=15.0, lambda_ir=1e-4)
+    for variant in ("full", "dressed"):
+        divergence_coefficient(g, cut, FAST, variant=variant)
+    assert calls == {"sphere_integrate": 2, "freq_integrate": 0, "freq_integrate_rows": 2}
 
 
 def test_full_requires_ir_cutoff():

@@ -16,6 +16,7 @@ from softdeco import (
     freq_integrate,
     sphere_integrate,
 )
+from softdeco.numerics import _sphere_grid, freq_integrate_rows
 
 mpmath.mp.dps = 30
 
@@ -153,3 +154,28 @@ def test_freq_period_alignment_long_interval():
 def test_quadrature_result_float_protocol():
     r = freq_integrate(lambda w: np.ones_like(w), 0.0, 2.0, 1.0)
     assert float(r) == pytest.approx(2.0, rel=1e-14)
+
+
+def test_freq_integrate_rows_matches_scalar_passes():
+    # a stack of rows over split segments sums to the scalar pass of each row
+    def rows(w):
+        return np.stack([np.ones_like(w), 2.0 * (1.0 - np.cos(w)) / w, w**2])
+
+    coarse, fine = freq_integrate_rows(rows, [0.0, 0.5, 3.0, 40.0], 1.0)
+    assert coarse.shape == fine.shape == (3, 3)
+    for k in range(3):
+        whole = freq_integrate(lambda w: rows(w)[k], 0.0, 40.0, 1.0).value
+        assert fine[:, k].sum() == pytest.approx(whole, rel=1e-13)
+    assert fine[:, 0] == pytest.approx([0.5, 2.5, 37.0], rel=1e-14)
+    assert np.abs(fine - coarse).max() < 1e-12
+    with pytest.raises(ValueError):
+        freq_integrate_rows(rows, [0.0, 2.0, 1.0], 1.0)
+    with pytest.raises(ValueError):
+        freq_integrate_rows(rows, [-1.0, 1.0], 1.0)
+
+
+def test_sphere_grid_is_cached_and_read_only():
+    grid = _sphere_grid(8, 16)
+    assert _sphere_grid(8, 16) is grid
+    with pytest.raises(ValueError):
+        grid[0][0] = 0.0
