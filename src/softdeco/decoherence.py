@@ -8,10 +8,14 @@ c_sub = 2x, c_hard = c_dressed - c_sub, c_dressed = -2i expm1(ix), x = w tau.
 So every variant, and the sub/hard cross term, contracts one Gram matrix
 Int Re(c_i conj(c_j)) [coth] dw/w in the basis (div, sub, dressed).  Its
 pointwise entries are dd = 1, ss = 4x^2, DD = 16 sin^2(x/2), sD = 4x sin x,
-dD = -DD/4 and ds = 0.  One angular and one panelled frequency pass over
-these four rows give dressed = DD, sub = ss, hard = ss + DD - 2 sD and
-cross = 2 sD - 2 ss over [0, Omega], and full = dd + DD + 2 dD = dd + DD/2
-over [lambda, Omega] only.
+dD = -DD/4 and ds = 0.  One angular and one frequency pass over these four
+rows give dressed = DD, sub = ss, hard = ss + DD - 2 sD and cross =
+2 sD - 2 ss over [0, Omega], and full = dd + DD + 2 dD = dd + DD/2 over
+[lambda, Omega] only.  Above the first 64 periods of cos(x) the rows are
+handed over in the split form a + b cos(x) + c sin(x): dd = (W, 0, 0),
+ss = (4x^2 W, 0, 0), DD = (8W, -8W, 0) and sD = (0, 0, 4xW), with
+W = [coth(beta w / 2)] / w, which the frequency rule integrates at a cost
+independent of Omega tau.
 
 Hard is never a basis vector: c_sub and c_hard both grow like Omega tau, so
 a (sub, hard) basis would build dressed = ss + hh + 2 sh by cancelling terms
@@ -133,12 +137,36 @@ def _pieces_weights(parts) -> tuple:
     return (d * d, s * s, h * h - 0.5 * d * h, 2.0 * s * h)
 
 
+def _gram_weight(omega, beta: float | None):
+    """[coth(beta w / 2)] / w."""
+    return 1.0 / omega if beta is None else 1.0 / (omega * np.tanh(0.5 * beta * omega))
+
+
 def _gram_rows(omega, tau: float, beta: float | None):
     """The rows dd, ss, DD, sD at x = w tau, each times [coth(beta w / 2)] / w."""
-    w = 1.0 / omega if beta is None else 1.0 / (omega * np.tanh(0.5 * beta * omega))
+    w = _gram_weight(omega, beta)
     x = omega * tau
     s, c = np.sin(0.5 * x), np.cos(0.5 * x)
     return np.stack([w, 4.0 * x * x * w, 16.0 * s * s * w, 8.0 * x * s * c * w])
+
+
+def _gram_split_rows(omega, tau: float, beta: float | None):
+    """The rows of _gram_rows as (a, b, c) with row = a + b cos(x) + c sin(x).
+
+    Used only above the panelled periods: at small x, DD = 8w - 8w cos(x)
+    would cancel most of its digits.  Shape (4, 3, n).
+    """
+    w = _gram_weight(omega, beta)
+    x = omega * tau
+    zero = np.zeros_like(w)
+    return np.array(
+        [
+            [w, zero, zero],
+            [4.0 * x * x * w, zero, zero],
+            [8.0 * w, -8.0 * w, zero],
+            [zero, zero, 4.0 * x * w],
+        ]
+    )
 
 
 def _gammas(g: InterferometerGeometry, cut: CutoffSet, spec, e2, requests) -> list:
@@ -157,7 +185,13 @@ def _gammas(g: InterferometerGeometry, cut: CutoffSet, spec, e2, requests) -> li
         )
     ang = angular_integral(g, spec)
     breaks = np.append(np.unique([lo for _, lo in requests]), cut.omega_uv)
-    rows = freq_integrate_rows(lambda w: _gram_rows(w, g.tau, cut.beta), breaks, g.tau, spec)
+    rows = freq_integrate_rows(
+        lambda w: _gram_rows(w, g.tau, cut.beta),
+        breaks,
+        g.tau,
+        spec,
+        split=lambda w: _gram_split_rows(w, g.tau, cut.beta),
+    )
     # sums over [breaks[k], omega_uv]: the segments added from the top down
     coarse, fine = (np.cumsum(s[::-1], axis=0)[::-1] for s in rows)
     pref = e2 / (4.0 * (2.0 * math.pi) ** 3)

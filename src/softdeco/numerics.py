@@ -1,11 +1,18 @@
 """Special functions and quadrature engines.
 
 Two integrators carry all of the numerical work: a product Gauss-Legendre x
-trapezoid rule on the unit sphere, and a panelled Gauss-Legendre rule on
-frequency intervals with panels aligned to the oscillation period 2*pi/tau.
-Both report an error gauge obtained by doubling the resolution.  The
-frequency rule evaluates its integrand once, at the GL-12 and GL-24 nodes
-of every panel together, and can sum a stack of integrand rows at once.
+trapezoid rule on the unit sphere, and a Gauss-Legendre rule on frequency
+intervals.  Both report an error gauge obtained by doubling the resolution.
+
+The frequency rule has two regimes.  Over the first 64 periods 2*pi/tau it
+uses panels aligned to the period, so its cost there is fixed.  Above them,
+a stack of rows may be given in the split form a + b cos(w tau) +
+c sin(w tau), with a, b, c free of oscillation; these are integrated on
+geometric panels whose width grows by sqrt(2), a with plain GL weights and
+b, c with Filon-GL weights that carry the oscillation exactly.  The tail
+costs a few dozen panels per decade, whatever w tau reaches.  Both regimes
+evaluate the integrand once, at the GL-12 and GL-24 nodes of every panel
+together, and the gauge is the GL-24 sum minus the GL-12 sum.
 """
 
 from __future__ import annotations
@@ -37,6 +44,8 @@ E2_ELECTRON = 4.0 * math.pi * FINE_STRUCTURE_ALPHA
 
 _GL_NODES = 12  # base Gauss-Legendre order per frequency panel
 _PANEL_CHUNK = 8192  # panels per vectorized block
+_TAIL_PERIODS = 64  # oscillation periods panelled before the Filon tail takes over
+_TAIL_GROWTH = math.sqrt(2.0)  # width ratio of consecutive tail panels
 
 
 @dataclass(frozen=True)
@@ -193,6 +202,56 @@ def _panel_pass(g, edges: np.ndarray) -> np.ndarray:
     return total
 
 
+@functools.lru_cache(maxsize=1)
+def _filon_basis():
+    """Q[k, j, o] = (2k+1) i^k P_k(x_j) w_j of the order-o rule of _shared_rule.
+
+    Contracted with the spherical Bessel functions j_k(kappa), it gives the
+    Filon-GL weights W_j(kappa) = w_j sum_{k<n} (2k+1) i^k j_k(kappa) P_k(x_j):
+    the plane-wave expansion of e^{i kappa x} truncated at the rule's order n,
+    so that sum_j W_j f(x_j) is the exact integral of e^{i kappa x} times the
+    degree-(n-1) interpolant of f.  At kappa = 0 it reduces to GL.
+    """
+    x, wx = _shared_rule()
+    n = 2 * _GL_NODES
+    k = np.arange(n)
+    phase = np.array([1.0, 1.0j, -1.0, -1.0j])[k % 4]
+    legendre = np.polynomial.legendre.legvander(x, n - 1).T  # P_k(x_j)
+    basis = ((2 * k + 1) * phase)[:, None, None] * legendre[:, :, None] * wx
+    basis[_GL_NODES:, :, 0] = 0.0  # the GL-12 expansion stops at k = 11
+    basis.flags.writeable = False
+    return basis
+
+
+def _tail_edges(lo: float, hi: float) -> np.ndarray:
+    n = max(1, math.ceil(math.log(hi / lo) / math.log(_TAIL_GROWTH)))
+    edges = lo * _TAIL_GROWTH ** np.arange(n)
+    return np.append(edges[edges < hi], hi)
+
+
+def _tail_pass(split, edges: np.ndarray, tau: float) -> np.ndarray:
+    """GL-12 and GL-24 sums of a + b cos(w tau) + c sin(w tau) over the panels.
+
+    split returns the stack (a, b, c) of shape (3, n), or (k, 3, n) for k
+    rows; a takes the GL weights and b, c the Filon-GL weights of each panel
+    times e^{i tau m}, m the panel centre.  The result has shape (2,) or (k, 2).
+    """
+    x, wx = _shared_rule()
+    half = 0.5 * np.diff(edges)
+    mid = edges[:-1] + half
+    nodes = mid[:, None] + half[:, None] * x
+    vals = np.asarray(split(nodes.ravel()), dtype=float)
+    a, b, c = np.moveaxis(vals.reshape(vals.shape[:-1] + nodes.shape), -3, 0)
+    bessel = _sp.spherical_jn(np.arange(2 * _GL_NODES), (tau * half)[:, None])
+    filon = np.exp(1j * tau * mid)[:, None, None] * np.tensordot(bessel, _filon_basis(), 1)
+    per_panel = (
+        a @ wx
+        + np.einsum("...pj,pjo->...po", b, filon.real)
+        + np.einsum("...pj,pjo->...po", c, filon.imag)
+    )
+    return half @ per_panel
+
+
 def freq_integrate(
     g,
     lo: float,
@@ -221,25 +280,42 @@ def freq_integrate_rows(
     breaks,
     tau: float,
     spec: QuadratureSpec = QuadratureSpec(),
+    split=None,
 ):
     """GL-12 and GL-24 sums of a stack of rows over consecutive frequency segments.
 
     g maps a numpy array of n frequencies to an array of k rows, shape
     (k, n).  breaks = (b_0 < b_1 < ... < b_m), b_0 >= 0, cut [b_0, b_m] into
-    segments, each panelled as in freq_integrate.  Returns (coarse, fine),
-    each of shape (m, k): the integral of every row over every segment.
-    The caller gauges the error of any linear combination of rows from the
-    same combination of coarse and fine sums.
+    segments.  Returns (coarse, fine), each of shape (m, k): the integral of
+    every row over every segment.  The caller gauges the error of any linear
+    combination of rows from the same combination of coarse and fine sums.
+
+    Each segment is cut at w tau = 2 pi * 64.  Below that, g is integrated on
+    period-aligned panels as in freq_integrate.  Above it, split gives the
+    same rows in the form a + b cos(w tau) + c sin(w tau), as an array of
+    shape (k, 3, n) holding (a, b, c) per row, or (3, n) when g returns a
+    single row, with a, b, c non-oscillatory;
+    they are integrated on geometric panels, each sqrt(2) times as wide as
+    the one before, with GL weights for a and Filon-GL weights for b and c,
+    so the cost does not grow with w tau.  split is evaluated only above the
+    cut, where the form loses no digits to cancellation.  Without split (or
+    with tau <= 0) every segment is panelled.
     """
     breaks = np.asarray(breaks, dtype=float)
     if breaks.ndim != 1 or breaks.size < 2 or not np.all(np.diff(breaks) > 0):
         raise ValueError("freq_integrate_rows requires increasing breaks")
     if breaks[0] < 0:
         raise ValueError("freq_integrate_rows requires breaks >= 0")
-    sums = np.stack(
-        [
-            _panel_pass(g, _panel_edges(lo, hi, tau, spec.panels_per_period))
-            for lo, hi in zip(breaks[:-1], breaks[1:])
-        ]
-    )
+    cut = math.inf
+    if split is not None and tau > 0:
+        cut = 2.0 * math.pi * _TAIL_PERIODS / tau
+    sums = []
+    for lo, hi in zip(breaks[:-1], breaks[1:]):
+        total = 0.0
+        if lo < cut:
+            total = _panel_pass(g, _panel_edges(lo, min(hi, cut), tau, spec.panels_per_period))
+        if hi > cut:
+            total = total + _tail_pass(split, _tail_edges(max(lo, cut), hi), tau)
+        sums.append(total)
+    sums = np.stack(sums)
     return sums[..., 0], sums[..., 1]

@@ -2,6 +2,8 @@ import csv
 import io
 import json
 import math
+import re
+from pathlib import Path
 
 import pytest
 
@@ -119,6 +121,17 @@ def test_sweep_csv_shape(tmp_path):
     assert row[2] == ""  # gamma_full blank: "full" not among the variants
     # 12 significant digits in scientific notation
     assert "e" in row[3] and len(row[3].split("e")[0].replace("-", "").replace(".", "")) == 12
+
+
+def test_default_sweep_err_est_has_two_significant_digits(tmp_path):
+    # err_est is the round-off of a converged pass; more digits would not repeat
+    config = Path(__file__).resolve().parents[1] / "configs" / "default.json"
+    out = tmp_path / "sweep.csv"
+    assert cli.main(["sweep", "--config", str(config), "--out", str(out)], environ={}) == 0
+    rows = list(csv.DictReader(io.StringIO(out.read_text())))
+    assert len(rows) == 13
+    for row in rows:
+        assert re.fullmatch(r"\d\.\de[+-]\d\d", row["err_est"]), row["err_est"]
 
 
 def test_sweep_determinism(tmp_path):

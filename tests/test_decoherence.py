@@ -135,29 +135,30 @@ def test_dressing_is_decoupling():
 
 
 def test_variants_match_independent_closed_forms_at_wide_band():
-    # Omega tau = 1e5, lambda tau = 1e-4: a (sub, hard) basis would build the
-    # dressed value by cancelling terms of order 1e10 and miss it by ~2e-7
-    tau, wt, lt = 100.0, 1e5, 1e-4
+    # Omega tau = 1e5 and 1e9, lambda tau = 1e-4: a (sub, hard) basis would build
+    # the dressed value by cancelling terms of order 1e10 and miss it by ~2e-7;
+    # at 1e9 the period panels alone would need ~6.4e8 panels
+    tau, lt = 100.0, 1e-4
     g = InterferometerGeometry(10.0, tau)
-    cut = CutoffSet(omega_uv=wt / tau, lambda_ir=lt / tau)
-    rep = decoherence_report(g, cut)
     v = g.v
     v12 = math.sqrt(1.0 - (1.0 - v * v) ** 2)
     ang = 8.0 * math.pi * (math.atanh(v12) / v12 - 1.0)
-    ci_w, ci_l = sici(wt)[1], sici(lt)[1]
-    freq_dressed = 8.0 * (EULER_GAMMA + math.log(wt) - ci_w)
-    freq_sub = 2.0 * wt * wt
-    freq = {
-        "dressed": freq_dressed,
-        "sub": freq_sub,
-        "hard": freq_dressed + freq_sub - 8.0 * (1.0 - math.cos(wt)),
-        "full": 5.0 * math.log(wt / lt) - 4.0 * (ci_w - ci_l),
-    }
     pref = E2_ELECTRON / (4.0 * (2.0 * math.pi) ** 3) * ang
-    assert rep.converged
-    for name, f in freq.items():
-        got = getattr(rep, f"gamma_{name}")
-        assert got == pytest.approx(pref * f, rel=1e-10), name
+    for wt in (1e5, 1e9):
+        rep = decoherence_report(g, CutoffSet(omega_uv=wt / tau, lambda_ir=lt / tau))
+        ci_w, ci_l = sici(wt)[1], sici(lt)[1]
+        freq_dressed = 8.0 * (EULER_GAMMA + math.log(wt) - ci_w)
+        freq_sub = 2.0 * wt * wt
+        freq = {
+            "dressed": freq_dressed,
+            "sub": freq_sub,
+            "hard": freq_dressed + freq_sub - 8.0 * (1.0 - math.cos(wt)),
+            "full": 5.0 * math.log(wt / lt) - 4.0 * (ci_w - ci_l),
+        }
+        assert rep.converged, wt
+        for name, f in freq.items():
+            got = getattr(rep, f"gamma_{name}")
+            assert got == pytest.approx(pref * f, rel=1e-10), (wt, name)
 
 
 def _count_passes(monkeypatch):

@@ -16,7 +16,8 @@ from softdeco import (
     freq_integrate,
     sphere_integrate,
 )
-from softdeco.numerics import _sphere_grid, freq_integrate_rows
+from softdeco.decoherence import _gram_rows, _gram_split_rows
+from softdeco.numerics import _TAIL_PERIODS, _sphere_grid, freq_integrate_rows
 
 mpmath.mp.dps = 30
 
@@ -179,3 +180,99 @@ def test_sphere_grid_is_cached_and_read_only():
     assert _sphere_grid(8, 16) is grid
     with pytest.raises(ValueError):
         grid[0][0] = 0.0
+
+
+def _gram_pass(breaks, tau, beta=None, hybrid=True, count=None):
+    """freq_integrate_rows over the Gram rows; count, if given, sums the nodes."""
+
+    def wrap(rows):
+        def f(w):
+            if count is not None:
+                count[0] += w.size
+            return rows(w, tau, beta)
+
+        return f
+
+    split = wrap(_gram_split_rows) if hybrid else None
+    return freq_integrate_rows(wrap(_gram_rows), breaks, tau, split=split)
+
+
+@pytest.mark.parametrize("wt", [1e3, 1e6, 1e9])
+def test_gram_rows_vs_mpmath_on_the_filon_tail(wt):
+    # tau = 100, lambda tau = 1e-4: DD = 8 Cin(Omega tau), dd = ln(Omega/lambda),
+    # ss = 2 (Omega tau)^2, sD = 4 (1 - cos(Omega tau))
+    tau, lam = 100.0, 1e-6
+    omega = wt / tau
+    coarse, fine = _gram_pass([0.0, lam, omega], tau)
+    dd = fine[1, 0]
+    ss, DD, sD = fine[:, 1:].sum(axis=0)
+    cin = mpmath.euler + mpmath.log(wt) - mpmath.ci(wt)
+    assert DD == pytest.approx(float(8 * cin), rel=1e-13)
+    assert dd == pytest.approx(math.log(omega / lam), rel=1e-13)
+    assert ss == pytest.approx(2.0 * wt * wt, rel=1e-13)
+    if wt <= 1e6:
+        # cos(Omega tau) itself is known to ~ Omega tau * 1e-16 only
+        assert sD == pytest.approx(4.0 * (1.0 - math.cos(wt)), abs=1e-9)
+    gap = (fine - coarse)[:, 1:].sum(axis=0)
+    assert abs(fine[1, 0] - coarse[1, 0]) <= 1e-13 * dd
+    assert abs(gap[0]) <= 1e-13 * ss and abs(gap[1]) <= 1e-13 * DD
+    assert abs(gap[2]) <= 1e-9
+
+
+def test_frequency_pass_nodes_do_not_grow_with_omega_tau():
+    # the panelled rule alone would need ~2.3e10 more nodes at 1e9 than at 1e3
+    tau = 100.0
+    counts = {}
+    for wt in (1e3, 1e9):
+        count = [0]
+        _gram_pass([0.0, 1e-6, wt / tau], tau, count=count)
+        counts[wt] = count[0]
+    assert abs(counts[1e9] - counts[1e3]) < 2000
+
+
+def test_hybrid_rule_is_continuous_at_the_split():
+    tau = 100.0
+    seam = 2.0 * math.pi * _TAIL_PERIODS / tau
+    below = _gram_pass([0.0, np.nextafter(seam, 0.0)], tau)[1][0]
+    above = _gram_pass([0.0, np.nextafter(seam, np.inf)], tau)[1][0]
+    assert above == pytest.approx(below, rel=1e-13)
+    # one octave past the seam, the tail matches the panels it replaces
+    hybrid = _gram_pass([0.0, 2.0 * seam], tau)[1][0]
+    panels = _gram_pass([0.0, 2.0 * seam], tau, hybrid=False)[1][0]
+    assert hybrid == pytest.approx(panels, rel=1e-13)
+
+
+@pytest.mark.parametrize("beta", [1.0, 100.0, 1e4])
+def test_thermal_rows_across_the_split_match_a_panel_only_pass(beta):
+    tau, wt = 100.0, 1e4
+    breaks = [1e-6, wt / tau]
+    hybrid = _gram_pass(breaks, tau, beta)[1][0]
+    panels = _gram_pass(breaks, tau, beta, hybrid=False)[1][0]
+    assert hybrid[:3] == pytest.approx(panels[:3], rel=1e-12)
+    # sD = 4 tau sin(w tau) [coth] cancels over every period: at beta = 100 the
+    # panel-only sum is itself 1.5e-11 off (mpmath), the hybrid one 3e-12
+    assert hybrid[3] == pytest.approx(panels[3], abs=1e-10)
+
+
+def test_filon_tail_is_exact_for_polynomial_amplitudes():
+    # Int w^3 cos(w) dw = (w^3 - 6w) sin(w) + (3w^2 - 6) cos(w), on panels with kappa 80-360;
+    # GL-12 is exact on the cubic too, so coarse and fine agree
+    lo, hi = 2.0 * math.pi * _TAIL_PERIODS, 3e3
+
+    def rows(w):
+        return np.stack([w**2, w**3 * np.cos(w)])
+
+    def split(w):
+        zero = np.zeros_like(w)
+        return np.array([[w**2, zero, zero], [zero, w**3, zero]])
+
+    coarse, fine = freq_integrate_rows(rows, [lo, hi], 1.0, split=split)
+
+    def antiderivative(w):
+        w = mpmath.mpf(w)
+        return (w**3 - 6 * w) * mpmath.sin(w) + (3 * w**2 - 6) * mpmath.cos(w)
+
+    want = float(antiderivative(hi) - antiderivative(lo))
+    assert fine[0, 0] == pytest.approx((hi**3 - lo**3) / 3.0, rel=1e-14)
+    assert fine[0, 1] == pytest.approx(want, rel=1e-12)
+    assert coarse[0] == pytest.approx(fine[0], rel=1e-12)
