@@ -11,12 +11,12 @@ from __future__ import annotations
 import argparse
 import copy
 import csv
+import dataclasses
 import io
 import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -53,14 +53,24 @@ DEFAULT_CONFIG = {
         "rel_tol": 1e-8,
         "abs_tol": 1e-12,
     },
-    "variants": ["dressed", "sub", "hard"],
     "sweep": None,
     "slit": None,
     "mirror": None,
 }
 
 _SWEEP_KEYS = {"parameter", "start", "stop", "points", "scale"}
-_VALID_VARIANTS = ("full", "dressed", "sub", "hard")
+# sweep, slit and mirror default to None, so their keys are listed here
+_BLOCK_KEYS = {
+    "sweep": _SWEEP_KEYS,
+    "slit": {f.name for f in dataclasses.fields(experiment.SlitGeometry)},
+    "mirror": {f.name for f in dataclasses.fields(experiment.ParticleMirror)},
+}
+# a sweep sets one number of the run point
+_SWEEPABLE = {
+    f"{block}.{key}"
+    for block in ("geometry", "cutoffs", "charge", "quadrature")
+    for key in DEFAULT_CONFIG[block]
+}
 
 
 class ConfigError(ValueError):
@@ -69,35 +79,25 @@ class ConfigError(ValueError):
         self.key = key
 
 
-def _known_paths(tree, prefix=()):
+def _known_paths():
+    """Every key path a config may set: each block and each key in it."""
     paths = []
-    for key, val in tree.items():
-        path = prefix + (key,)
-        paths.append(path)
-        if isinstance(val, dict):
-            paths.extend(_known_paths(val, path))
-    # sweep/slit/mirror default to None; enumerate their keys explicitly
-    for block, keys in (
-        ("sweep", _SWEEP_KEYS),
-        ("slit", {"a_o", "b_o", "d_o", "L_o", "v_over_c", "Q", "alpha", "ell_o"}),
-        ("mirror", {"r_o", "Z_o", "epsilon", "g_o", "q", "X_o", "U_o"}),
-    ):
-        for key in keys:
-            paths.append((block, key))
+    for block, keys in DEFAULT_CONFIG.items():
+        paths.append((block,))
+        paths.extend((block, key) for key in keys or _BLOCK_KEYS[block])
     return paths
 
 
-def _deep_merge(base: dict, extra: dict, prefix=""):
+def _deep_merge(base: dict, extra: dict):
     for key, val in extra.items():
-        dotted = f"{prefix}{key}"
         if isinstance(val, dict) and isinstance(base.get(key), dict):
-            _deep_merge(base[key], val, prefix=dotted + ".")
+            _deep_merge(base[key], val)
         else:
             base[key] = val
 
 
 def _apply_env_overrides(cfg: dict, environ):
-    paths = {("_".join(p)).upper(): p for p in _known_paths(DEFAULT_CONFIG)}
+    paths = {("_".join(p)).upper(): p for p in _known_paths()}
     for name, raw in environ.items():
         if not name.startswith(ENV_PREFIX):
             continue
@@ -159,18 +159,6 @@ def _validate(cfg: dict):
             raise ConfigError(key, "must be an integer")
     _require_number(cfg, "quadrature.rel_tol", minimum=0.0, strict=True)
     _require_number(cfg, "quadrature.abs_tol", minimum=0.0, strict=True)
-    variants = cfg.get("variants")
-    if not isinstance(variants, list) or not all(
-        v in _VALID_VARIANTS for v in variants
-    ):
-        raise ConfigError("variants", f"must be a subset of {_VALID_VARIANTS}")
-    if "full" in variants and lam == 0.0 and l > 0:
-        raise ConfigError(
-            "cutoffs.lambda_ir",
-            "variant 'full' with lambda_ir = 0 is infrared divergent: the "
-            "leading soft current difference scales as 1/omega and drives "
-            "Gamma ~ ln(1/lambda) -> infinity",
-        )
     sweep = cfg.get("sweep")
     if sweep is not None:
         if not isinstance(sweep, dict):
@@ -184,10 +172,8 @@ def _validate(cfg: dict):
         if not isinstance(pts, int) or pts < 0:
             raise ConfigError("sweep.points", "must be a non-negative integer")
         param = sweep["parameter"]
-        if not isinstance(param, str) or tuple(param.split(".")) not in set(
-            _known_paths(DEFAULT_CONFIG)
-        ):
-            raise ConfigError("sweep.parameter", f"unknown parameter {param!r}")
+        if not isinstance(param, str) or param not in _SWEEPABLE:
+            raise ConfigError("sweep.parameter", f"not a sweepable number: {param!r}")
         if sweep["scale"] == "log" and sweep["start"] <= 0:
             raise ConfigError("sweep.start", "log scale requires start > 0")
 
@@ -211,26 +197,30 @@ def load_config(path: str | None, environ=None) -> dict:
     return cfg
 
 
-def _spec_from(cfg) -> numerics.QuadratureSpec:
-    q = cfg["quadrature"]
-    return numerics.QuadratureSpec(
+def _point(cfg):
+    """The run point of a validated config: (geometry, cutoffs, spec, e^2)."""
+    g, c, q, ch = cfg["geometry"], cfg["cutoffs"], cfg["quadrature"], cfg["charge"]
+    geom = kinematics.InterferometerGeometry(g["l"], g["tau"])
+    cut = decoherence.CutoffSet(
+        omega_uv=c["omega_uv"], lambda_ir=c["lambda_ir"], beta=c["beta"]
+    )
+    spec = numerics.QuadratureSpec(
         n_theta=int(q["n_theta"]),
         n_phi=int(q["n_phi"]),
         panels_per_period=int(q["panels_per_period"]),
         rel_tol=q["rel_tol"],
         abs_tol=q["abs_tol"],
     )
+    return geom, cut, spec, 4.0 * math.pi * ch["alpha"] * ch["Q"] ** 2
 
 
-def _cut_from(cfg) -> decoherence.CutoffSet:
-    c = cfg["cutoffs"]
-    return decoherence.CutoffSet(
-        omega_uv=c["omega_uv"], lambda_ir=c["lambda_ir"], beta=c["beta"]
-    )
-
-
-def _e2_from(cfg) -> float:
-    return 4.0 * math.pi * cfg["charge"]["alpha"] * cfg["charge"]["Q"] ** 2
+def _emit(text, out_path):
+    """Write a command's output to out_path, or to stdout without one."""
+    if out_path:
+        with open(out_path, "w") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
 
 
 def _fmt(x) -> str:
@@ -240,16 +230,8 @@ def _fmt(x) -> str:
 
 
 def _compute_point(cfg):
-    geom = kinematics.InterferometerGeometry(cfg["geometry"]["l"], cfg["geometry"]["tau"])
-    cut = _cut_from(cfg)
-    spec = _spec_from(cfg)
-    e2 = _e2_from(cfg)
-    variants = cfg["variants"]
-    report = decoherence.decoherence_report(
-        geom, cut, spec, e2, include_full="full" in variants
-    )
-    summary = whichpath.summarize(max(report.gamma_dressed, 0.0))
-    return report, summary
+    report = decoherence.decoherence_report(*_point(cfg))
+    return report, whichpath.summarize(max(report.gamma_dressed, 0.0))
 
 
 def cmd_gamma(cfg, out_path=None) -> int:
@@ -285,12 +267,7 @@ def cmd_gamma(cfg, out_path=None) -> int:
         },
         "converged": report.converged,
     }
-    text = json.dumps(payload, indent=2, sort_keys=True)
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", out_path)
     return 0 if report.converged else 2
 
 
@@ -311,17 +288,10 @@ def _sweep_values(sweep):
     return np.linspace(sweep["start"], sweep["stop"], n)
 
 
-def _set_dotted(cfg, dotted, value):
-    node = cfg
-    segs = dotted.split(".")
-    for seg in segs[:-1]:
-        node = node[seg]
-    node[segs[-1]] = value
-
-
 def _sweep_row(cfg, param, value):
     point_cfg = copy.deepcopy(cfg)
-    _set_dotted(point_cfg, param, float(value))
+    block, key = param.split(".")
+    point_cfg[block][key] = float(value)
     row = {col: "" for col in CSV_COLUMNS}
     row["sweep_param"] = param
     row["value"] = _fmt(float(value))
@@ -338,7 +308,7 @@ def _sweep_row(cfg, param, value):
             "closed_hard": report.closed.hard,
             "D": summary.distinguishability,
             "V_max": summary.visibility_bound,
-            "err_est": max(report.errors.values()) if report.errors else 0.0,
+            "err_est": max(report.errors.values()),
         }
         for key, val in cells.items():
             if val is not None and not math.isfinite(val):
@@ -349,32 +319,21 @@ def _sweep_row(cfg, param, value):
         # a converged pass's err_est is round-off: only 2 digits survive a new summation order
         row["err_est"] = f"{cells['err_est']:.1e}"
         row["status"] = "ok" if report.converged else "non-converged"
-    except (ConfigError, ValueError) as exc:
+    except ValueError as exc:
         row["status"] = f"error: {exc}"
     return row
 
 
-def cmd_sweep(cfg, out_path, threads=1) -> int:
+def cmd_sweep(cfg, out_path) -> int:
     sweep = cfg.get("sweep")
     if sweep is None:
         raise ConfigError("sweep", "sweep block required for the sweep command")
-    values = _sweep_values(sweep)
-    param = sweep["parameter"]
-    if threads > 1 and len(values) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(lambda v: _sweep_row(cfg, param, v), values))
-    else:
-        rows = [_sweep_row(cfg, param, v) for v in values]
+    rows = [_sweep_row(cfg, sweep["parameter"], v) for v in _sweep_values(sweep)]
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
     writer.writerows([row[col] for col in CSV_COLUMNS] for row in rows)
-    text = buf.getvalue()
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit(buf.getvalue(), out_path)
     bad = [r for r in rows if r["status"] == "non-converged"]
     return 2 if bad else 0
 
@@ -409,12 +368,7 @@ def cmd_estimate_slit(cfg, out_path=None) -> int:
             "surface_coupling": experiment.surface_coupling(mirror),
             "rayleigh_rate": experiment.rayleigh_rate(mirror, mirror.q),
         }
-    text = json.dumps(payload, indent=2, sort_keys=True)
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", out_path)
     return 0
 
 
@@ -486,7 +440,7 @@ def _check_soft_scaling(cfg, rng):
 
 
 def _check_sphere_identity(cfg, rng):
-    spec = _spec_from(cfg)
+    spec = _point(cfg)[2]
     worst = 0.0
     for v in (0.1, 0.3, 0.6, 0.9):
         def f(nx, ny, nz, v=v):
@@ -501,7 +455,7 @@ def _check_sphere_identity(cfg, rng):
 def _check_freq_identity(cfg, rng):
     # the rule every Gamma goes through: panels over the first periods, and
     # the split form 2/w - 2 cos(w)/w on the Filon tail above them
-    spec = _spec_from(cfg)
+    spec = _point(cfg)[2]
     worst = 0.0
     for x in (1.0, 10.0, 1e3, 1e6):
         _, fine = numerics.freq_integrate_rows(
@@ -520,14 +474,11 @@ def _check_freq_identity(cfg, rng):
 
 
 def _check_dressed_closed_form(cfg, rng):
-    geom = kinematics.InterferometerGeometry(
-        cfg["geometry"]["l"], cfg["geometry"]["tau"]
-    )
+    geom, cut, spec, e2 = _point(cfg)
     if geom.v == 0:
         return True, "trivial at v = 0"
-    cut = _cut_from(cfg)
-    spec = _spec_from(cfg)
-    e2 = _e2_from(cfg)
+    # the closed form is the zero-temperature one
+    cut = dataclasses.replace(cut, beta=None)
     got = decoherence.gamma_dressed(geom, cut, spec, e2).value
     want = decoherence.closed_forms(geom, cut, e2).dressed
     dev = abs(got - want) / want
@@ -545,17 +496,21 @@ def _check_duality(cfg, rng):
     return worst <= 1e-12, f"max |D^2 + V^2 - 1| = {worst:.3e}"
 
 
+def _ladder_point(cfg):
+    """The run point at zero temperature, with the IR ladder's top rung as lambda_ir.
+
+    Gamma_full also carries the (lambda tau)^2 / 4 of Cin(lambda tau), which
+    a + b ln(1/lambda) cannot fit: from lambda tau = 1e-4 it moves the fitted
+    b by 1.4e-9 relative, from 1e-6 by about 1e-14.
+    """
+    geom, cut, spec, e2 = _point(cfg)
+    return geom, dataclasses.replace(cut, lambda_ir=1e-6 / geom.tau, beta=None), spec, e2
+
+
 def _check_divergence_full(cfg, rng):
-    geom = kinematics.InterferometerGeometry(
-        cfg["geometry"]["l"], cfg["geometry"]["tau"]
-    )
+    geom, cut, spec, e2 = _ladder_point(cfg)
     if geom.v == 0:
         return True, "trivial at v = 0"
-    spec = _spec_from(cfg)
-    e2 = _e2_from(cfg)
-    cut = decoherence.CutoffSet(
-        omega_uv=cfg["cutoffs"]["omega_uv"], lambda_ir=1e-4 / geom.tau
-    )
     fit = decoherence.divergence_coefficient(geom, cut, spec, e2, variant="full")
     want = e2 * decoherence.closed_forms(geom, cut, e2).angular_exact / (
         32.0 * math.pi**3
@@ -565,16 +520,9 @@ def _check_divergence_full(cfg, rng):
 
 
 def _check_divergence_dressed(cfg, rng):
-    geom = kinematics.InterferometerGeometry(
-        cfg["geometry"]["l"], cfg["geometry"]["tau"]
-    )
+    geom, cut, spec, e2 = _ladder_point(cfg)
     if geom.v == 0:
         return True, "trivial at v = 0"
-    spec = _spec_from(cfg)
-    e2 = _e2_from(cfg)
-    cut = decoherence.CutoffSet(
-        omega_uv=cfg["cutoffs"]["omega_uv"], lambda_ir=1e-4 / geom.tau
-    )
     fit = decoherence.divergence_coefficient(geom, cut, spec, e2, variant="dressed")
     bound = 1e-4 * e2 * geom.v**2
     return abs(fit.coefficient) <= bound, f"|b| = {abs(fit.coefficient):.3e} vs bound {bound:.3e}"
@@ -633,7 +581,12 @@ def _build_parser():
         prog="softdeco",
         description="Infrared-photon decoherence of a two-path interferometer",
     )
-    parser.add_argument("--threads", type=int, default=1, help="sweep workers")
+    parser.add_argument(
+        "--threads",
+        type=int,
+        default=1,
+        help="accepted for compatibility; sweep rows always run in order, so it has no effect",
+    )
     parser.add_argument("--seed", type=int, default=0, help="seed for random draws")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -662,7 +615,7 @@ def main(argv=None, environ=None) -> int:
         if args.command == "gamma":
             return cmd_gamma(cfg, args.out)
         if args.command == "sweep":
-            return cmd_sweep(cfg, args.out, threads=args.threads)
+            return cmd_sweep(cfg, args.out)
         if args.command == "check":
             return cmd_check(cfg, seed=args.seed)
         if args.command == "estimate-slit":

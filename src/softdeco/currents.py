@@ -29,10 +29,6 @@ __all__ = [
     "dipole_coefficients",
 ]
 
-# A ComplexFourCurrent is just a FourVector with complex components.
-ComplexFourCurrent = FourVector
-
-
 @dataclass(frozen=True)
 class SoftCurrentTriple:
     """Values of the divergent, sub-leading and hard currents at one momentum."""

@@ -276,6 +276,18 @@ def gamma_cross_term(
     return _gammas(g, cut, spec, e2, [((0.0, -2.0, 0.0, 2.0), 0.0)])[0]
 
 
+def _atanh_over_x_minus_1(x: float) -> float:
+    """atanh(x)/x - 1, by its series sum x^(2k)/(2k+1) below x = 0.3.
+
+    The difference itself would lose the digits of x^2/3 against 1.
+    """
+    if x >= 0.3:
+        return atanh_over_x(x) - 1.0
+    x2 = x * x
+    # 0.09^20 is 1e-21: the terms left out are below round-off
+    return sum(x2**k / (2 * k + 1) for k in range(20, 0, -1))
+
+
 @dataclass(frozen=True)
 class ClosedForms:
     """Closed-form values assembled from the angular and frequency identities."""
@@ -310,9 +322,9 @@ def closed_forms(
     |1 - e^{i w tau} + i w tau|^2 produces.
     """
     v = g.v
-    x12 = g.Xdot_1.dot(g.Xdot_2)  # = 1/(1 - v^2)
-    v12 = math.sqrt(max(0.0, 1.0 - 1.0 / float(x12) ** 2))
-    ang_exact = 8.0 * math.pi * (atanh_over_x(v12) - 1.0)
+    # relative speed of the arms, sqrt(1 - 1/(V1.V2)^2) with V1.V2 = 1/(1 - v^2)
+    v12 = v * math.sqrt(2.0 - v * v)
+    ang_exact = 8.0 * math.pi * _atanh_over_x_minus_1(v12)
     ang_small = (16.0 * math.pi / 3.0) * v * v
 
     wt = cut.omega_uv * g.tau
@@ -371,23 +383,20 @@ def decoherence_report(
     cut: CutoffSet,
     spec: QuadratureSpec = QuadratureSpec(),
     e2: float = E2_ELECTRON,
-    include_full: bool | None = None,
 ) -> DecoherenceReport:
-    """Compute all variants plus closed forms.
+    """Compute every functional plus closed forms.
 
-    The undressed value is included when lambda_ir > 0 (or when explicitly
-    requested); with lambda_ir = 0 it is omitted rather than divergent.
+    The undressed value is included when lambda_ir > 0; with lambda_ir = 0 it
+    is None rather than divergent.
     """
-    if include_full is None:
-        include_full = cut.lambda_ir > 0
-    names = [name for name in _PARTS if include_full or name != "full"]
+    names = [name for name in _PARTS if cut.lambda_ir > 0 or name != "full"]
     requests = [
         (_pieces_weights(_PARTS[name]), cut.lambda_ir if name == "full" else 0.0)
         for name in names
     ]
     res = dict(zip(names, _gammas(g, cut, spec, e2, requests)))
     return DecoherenceReport(
-        gamma_full=res["full"].value if include_full else None,
+        gamma_full=res["full"].value if "full" in res else None,
         gamma_dressed=res["dressed"].value,
         gamma_sub=res["sub"].value,
         gamma_hard=res["hard"].value,

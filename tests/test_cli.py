@@ -27,7 +27,6 @@ def test_load_config_defaults():
     cfg = cli.load_config(None, environ={})
     assert cfg["geometry"]["tau"] == 100.0
     assert cfg["quadrature"]["n_theta"] == 48
-    assert cfg["variants"] == ["dressed", "sub", "hard"]
 
 
 def test_load_config_merge(tmp_path):
@@ -64,11 +63,24 @@ def test_superluminal_rejected(tmp_path):
     assert cli.main(["gamma", "--config", path], environ={}) == 1
 
 
-def test_full_variant_needs_ir_cutoff(tmp_path):
+def test_full_variant_needs_ir_cutoff(tmp_path, capsys):
+    # gamma_full is reported exactly when lambda_ir > 0; the library refusal
+    # at lambda_ir = 0 is test_decoherence.py::test_full_requires_ir_cutoff
     cfg = dict(BASE)
     cfg["cutoffs"] = {"lambda_ir": 0.0, "omega_uv": 10.0}
     path = write_config(tmp_path, cfg)
-    assert cli.main(["gamma", "--config", path], environ={}) == 1
+    assert cli.main(["gamma", "--config", path], environ={}) == 0
+    assert json.loads(capsys.readouterr().out)["gamma"]["full"] is None
+    path = write_config(tmp_path, BASE)
+    assert cli.main(["gamma", "--config", path], environ={}) == 0
+    assert json.loads(capsys.readouterr().out)["gamma"]["full"] > 0
+
+
+def test_variants_key_is_gone(tmp_path):
+    # a config file that still carries it loads; as an override it is unknown
+    cli.load_config(write_config(tmp_path, {"variants": ["full"]}), environ={})
+    with pytest.raises(cli.ConfigError, match="SOFTDECO_VARIANTS"):
+        cli.load_config(None, environ={"SOFTDECO_VARIANTS": '["sub"]'})
 
 
 def test_gamma_command_output(tmp_path, capsys):
@@ -97,7 +109,6 @@ def test_gamma_zero_side_geometry(tmp_path, capsys):
 
 def _sweep_cfg(points=5, start=1.0, stop=100.0, parameter="cutoffs.omega_uv"):
     cfg = json.loads(json.dumps(BASE))
-    cfg["variants"] = ["dressed", "sub", "hard"]
     cfg["sweep"] = {
         "parameter": parameter,
         "start": start,
@@ -109,7 +120,9 @@ def _sweep_cfg(points=5, start=1.0, stop=100.0, parameter="cutoffs.omega_uv"):
 
 
 def test_sweep_csv_shape(tmp_path):
-    path = write_config(tmp_path, _sweep_cfg(points=4))
+    cfg = _sweep_cfg(points=4)
+    cfg["cutoffs"]["lambda_ir"] = 0.0
+    path = write_config(tmp_path, cfg)
     out = tmp_path / "sweep.csv"
     assert cli.main(["sweep", "--config", path, "--out", str(out)], environ={}) == 0
     lines = out.read_text().strip().split("\n")
@@ -118,7 +131,7 @@ def test_sweep_csv_shape(tmp_path):
     row = lines[1].split(",")
     assert row[0] == "cutoffs.omega_uv"
     assert row[-1] == "ok"
-    assert row[2] == ""  # gamma_full blank: "full" not among the variants
+    assert row[2] == ""  # gamma_full blank: lambda_ir = 0
     # 12 significant digits in scientific notation
     assert "e" in row[3] and len(row[3].split("e")[0].replace("-", "").replace(".", "")) == 12
 
@@ -191,6 +204,25 @@ def test_sweep_parameter_validation(tmp_path):
     cfg["sweep"]["parameter"] = "geometry.bogus"
     path = write_config(tmp_path, cfg)
     assert cli.main(["sweep", "--config", path, "--out", "/dev/null"], environ={}) == 1
+
+
+@pytest.mark.parametrize("parameter", ["slit.a_o", "geometry"])
+def test_sweep_parameter_must_be_a_number_of_the_run_point(tmp_path, parameter):
+    # a None block and a block name used to pass validation, then fail per row
+    cfg = _sweep_cfg()
+    cfg["sweep"]["parameter"] = parameter
+    path = write_config(tmp_path, cfg)
+    with pytest.raises(cli.ConfigError, match="sweep.parameter"):
+        cli.load_config(path, environ={})
+    assert cli.main(["sweep", "--config", path, "--out", "/dev/null"], environ={}) == 1
+
+
+def test_check_on_thermal_config(capsys):
+    # the closed forms are at zero temperature, and so are the checks against them
+    config = Path(__file__).resolve().parents[1] / "configs" / "default.json"
+    env = {"SOFTDECO_CUTOFFS_BETA": "1000"}
+    assert cli.main(["check", "--config", str(config)], environ=env) == 0
+    assert "FAIL" not in capsys.readouterr().out
 
 
 def test_check_command(capsys):

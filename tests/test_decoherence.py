@@ -68,6 +68,17 @@ def test_angular_integral_vs_closed_form():
         assert got == pytest.approx(want, rel=1e-8)
 
 
+@pytest.mark.parametrize("v", [1e-6, 1e-4, 1e-2, 0.5, 0.99])
+def test_angular_closed_form_against_mpmath(v):
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        mv = mpmath.mpf(v)
+        v12 = mv * mpmath.sqrt(2 - mv * mv)
+        want = float(8 * mpmath.pi * (mpmath.atanh(v12) / v12 - 1))
+    got = closed_forms(InterferometerGeometry(v, 1.0), CutoffSet(omega_uv=1.0)).angular_exact
+    assert abs(got - want) <= 1e-14 * want
+
+
 def test_angular_integral_small_v_limit():
     v = 1e-3
     g = InterferometerGeometry(v, 1.0)
