@@ -378,7 +378,7 @@ def cmd_estimate_slit(cfg, out_path=None) -> int:
 
 def _random_worldline(rng) -> kinematics.Worldline:
     n_seg = int(rng.integers(2, 5))
-    event = kinematics.FourVector(*rng.uniform(-1.0, 1.0, size=4))
+    event = kinematics.FourVector(*rng.uniform(-1.0, 1.0, size=4).tolist())
     segments = []
     for _ in range(n_seg):
         v3 = rng.uniform(-0.5, 0.5, size=3)

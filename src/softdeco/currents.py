@@ -8,14 +8,22 @@ sum over interior kinks,
 since the proper-time derivative of V^a/(q.V) is supported entirely at the
 kinks.  The leading (1/omega) and sub-leading (omega^0) soft pieces live on
 the worldline endpoints alone; the hard remainder is O(omega).
+
+The kernels run on Python scalars: they read the components of their
+inputs, accumulate each component as a plain float or complex in the order
+``FourVector`` arithmetic would use, and build one ``FourVector`` per
+result.  A frozen-dataclass ``FourVector`` per intermediate, or numpy scalar
+arithmetic, would cost more than the sums themselves.  Only the two 3-vector
+norms upstream (|v|^2 in ``four_velocity`` and |n| in ``PhotonMomentum``)
+stay numpy dot products, whose fused multiply-adds plain Python would not
+reproduce.
 """
 
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .kinematics import FourVector, PhotonMomentum, Worldline, InterferometerGeometry
 
@@ -46,35 +54,62 @@ def _check_omega(q: PhotonMomentum):
         raise ValueError("photon frequency must be > 0")
 
 
-def _velocity_bracket(v_after: FourVector, v_before: FourVector, qv: FourVector):
-    return v_after / qv.dot(v_after) - v_before / qv.dot(v_before)
+def _dot(qv, a: FourVector):
+    """q.a in the order of ``FourVector.dot``."""
+    qt, qx, qy, qz = qv
+    return qt * a.t - qx * a.x - qy * a.y - qz * a.z
+
+
+def _scaled(c, a) -> FourVector:
+    return FourVector(c * a[0], c * a[1], c * a[2], c * a[3])
+
+
+def _velocity_bracket(v_after: FourVector, v_before: FourVector, qv):
+    """Components of V_after/(q.V_after) - V_before/(q.V_before)."""
+    da, db = _dot(qv, v_after), _dot(qv, v_before)
+    return (
+        v_after.t / da - v_before.t / db,
+        v_after.x / da - v_before.x / db,
+        v_after.y / da - v_before.y / db,
+        v_after.z / da - v_before.z / db,
+    )
+
+
+def _expi(x: float) -> complex:
+    return cmath.exp(1j * x)
+
+
+def _expm1i(x: float) -> complex:
+    """exp(i x) - 1 by numpy's complex expm1 formula: -2 sin^2(x/2) + i sin(x)."""
+    s = math.sin(x / 2)
+    return complex(-2 * s * s, math.sin(x))
+
+
+def _kink_sum(w: Worldline, qv, phase):
+    """Components of sum_k phase(q.X_k) * bracket_k, accumulated left to right."""
+    t = x = y = z = 0.0
+    for event, v_before, v_after in w.kinks():
+        p = phase(_dot(qv, event))
+        bt, bx, by, bz = _velocity_bracket(v_after, v_before, qv)
+        t, x, y, z = t + p * bt, x + p * bx, y + p * by, z + p * bz
+    return t, x, y, z
 
 
 def current_fourier(w: Worldline, q: PhotonMomentum, charge: float = 1.0) -> FourVector:
     """Exact momentum-space current of a piecewise-linear worldline (kink sum)."""
     _check_omega(q)
-    qv = q.four_vector()
-    total = FourVector.zero()
-    for event, v_before, v_after in w.kinks():
-        phase = cmath.exp(1j * qv.dot(event))
-        total = total + phase * _velocity_bracket(v_after, v_before, qv)
-    return (1j * charge) * total
+    return _scaled(1j * charge, _kink_sum(w, q.components(), _expi))
 
 
-def _endpoint_leading(w: Worldline, qv: FourVector, charge: float) -> FourVector:
-    # i e Delta[ V/(q.V) ] over the endpoints
-    return (1j * charge) * _velocity_bracket(w.final_velocity, w.initial_velocity, qv)
-
-
-def _subleading_term(event: FourVector, vel: FourVector, qv: FourVector) -> FourVector:
+def _subleading_term(event: FourVector, vel: FourVector, qv):
     # q_b (X^a V^b - V^a X^b) / (q.V)  =  X^a - V^a (q.X)/(q.V)
-    return event - (qv.dot(event) / qv.dot(vel)) * vel
-
-
-def _endpoint_subleading(w: Worldline, qv: FourVector, charge: float) -> FourVector:
-    a = _subleading_term(w.end_event, w.final_velocity, qv)
-    b = _subleading_term(w.start_event, w.initial_velocity, qv)
-    return charge * (a - b)
+    r = _dot(qv, event) / _dot(qv, vel)
+    return (
+        event.t - r * vel.t,
+        event.x - r * vel.x,
+        event.y - r * vel.y,
+        event.z - r * vel.z,
+    )
 
 
 def soft_decompose(
@@ -87,17 +122,18 @@ def soft_decompose(
     accurate deep in the soft regime where full and div nearly cancel.
     """
     _check_omega(q)
-    qv = q.four_vector()
-    j_div = _endpoint_leading(w, qv, charge)
-    j_sub = _endpoint_subleading(w, qv, charge)
+    qv = q.components()
+    c = 1j * charge
+    # i e Delta[ V/(q.V) ] over the endpoints
+    j_div = _scaled(c, _velocity_bracket(w.final_velocity, w.initial_velocity, qv))
+    a = _subleading_term(w.end_event, w.final_velocity, qv)
+    b = _subleading_term(w.start_event, w.initial_velocity, qv)
+    sub = tuple(ai - bi for ai, bi in zip(a, b))
     # full - div = i e sum_k (exp(i q.X_k) - 1) * bracket_k, since the
     # endpoint velocity difference telescopes over the kink jumps.
-    acc = FourVector.zero()
-    for event, v_before, v_after in w.kinks():
-        phase_m1 = complex(np.expm1(1j * qv.dot(event)))
-        acc = acc + phase_m1 * _velocity_bracket(v_after, v_before, qv)
-    j_hard = (1j * charge) * acc - j_sub
-    return SoftCurrentTriple(j_div, j_sub, j_hard)
+    acc = _kink_sum(w, qv, _expm1i)
+    j_hard = FourVector(*(c * h - charge * si for h, si in zip(acc, sub)))
+    return SoftCurrentTriple(j_div, _scaled(charge, sub), j_hard)
 
 
 def soft_factors(q: PhotonMomentum, x: FourVector, p: FourVector):
@@ -106,13 +142,12 @@ def soft_factors(q: PhotonMomentum, x: FourVector, p: FourVector):
     S0^a = p^a/(q.p);  S1^a = i q_b J^{ba}/(q.p) with J^{ab} = p^a x^b - p^b x^a,
     which contracts to S1^a = i [ x^a - (q.x)/(q.p) p^a ].
     """
-    qv = q.four_vector()
-    qp = qv.dot(p)
+    qv = q.components()
+    qp = _dot(qv, p)
     if qp == 0:
         raise ValueError("q.p must be nonzero")
-    s0 = p / qp
-    s1 = 1j * (x - (qv.dot(x) / qp) * p)
-    return s0, s1
+    s0 = FourVector(p.t / qp, p.x / qp, p.y / qp, p.z / qp)
+    return s0, _scaled(1j, _subleading_term(x, p, qv))
 
 
 def dipole_coefficients(omega: float, tau: float):
@@ -124,12 +159,8 @@ def dipole_coefficients(omega: float, tau: float):
     wt = omega * tau
     c_div = -1j
     c_sub = 2.0 * wt
-    c_hard = 2j * (-complex(np.expm1(1j * wt)) + 1j * wt)
+    c_hard = 2j * (-_expm1i(wt) + 1j * wt)
     return c_div, c_sub, c_hard
-
-
-def _bracket(g: InterferometerGeometry, qv: FourVector) -> FourVector:
-    return _velocity_bracket(g.Xdot_1, g.Xdot_2, qv)
 
 
 def delta_current(
@@ -147,23 +178,18 @@ def delta_current(
     its phase for sensitivity studies.
     """
     _check_omega(q)
-    qv = q.four_vector()
-    B = _bracket(g, qv)
+    qv = q.components()
     if mode == "exact":
-        phases = (
-            cmath.exp(1j * qv.dot(g.X_i))
-            - cmath.exp(1j * qv.dot(g.X_L))
-            - cmath.exp(1j * qv.dot(g.X_R))
-        )
+        phases = _expi(_dot(qv, g.X_i)) - _expi(_dot(qv, g.X_L)) - _expi(_dot(qv, g.X_R))
         if include_detector:
-            phases += cmath.exp(1j * qv.dot(g.detector))
+            phases += _expi(_dot(qv, g.detector))
     elif mode == "dipole":
         phases = 1.0 - 2.0 * cmath.exp(1j * q.omega * g.tau)
         if include_detector:
             phases += cmath.exp(2j * q.omega * g.tau)
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    return (1j * charge * phases) * B
+    return _scaled(1j * charge * phases, _velocity_bracket(g.Xdot_1, g.Xdot_2, qv))
 
 
 def delta_current_parts(
@@ -171,9 +197,8 @@ def delta_current_parts(
 ) -> SoftCurrentTriple:
     """Dipole-approximation split of the current difference into soft pieces."""
     _check_omega(q)
-    qv = q.four_vector()
-    B = _bracket(g, qv)
+    B = _velocity_bracket(g.Xdot_1, g.Xdot_2, q.components())
     c_div, c_sub, c_hard = dipole_coefficients(q.omega, g.tau)
     return SoftCurrentTriple(
-        (charge * c_div) * B, (charge * c_sub) * B, (charge * c_hard) * B
+        _scaled(charge * c_div, B), _scaled(charge * c_sub, B), _scaled(charge * c_hard, B)
     )

@@ -89,16 +89,19 @@ class CutoffSet:
             raise ValueError("beta must be > 0 when present")
 
 
+def _abs2(c: complex) -> float:
+    return c.real * c.real + c.imag * c.imag
+
+
 def gamma_kernel(dj: FourVector, q: PhotonMomentum) -> float:
     """Transverse bilinear P_jk dj^j conj(dj)^k; real and >= 0.
 
     P_jk = delta_jk - n_j n_k on the spatial components, P_0a = 0.
     """
-    j3 = dj.spatial().astype(complex)
-    n = q.nhat
-    long_ = n @ j3
-    val = np.real(j3 @ np.conj(j3) - long_ * np.conj(long_))
-    return float(val)
+    jx, jy, jz = complex(dj.x), complex(dj.y), complex(dj.z)
+    nx, ny, nz = q.n_hat
+    long_ = nx * jx + ny * jy + nz * jz
+    return _abs2(jx) + _abs2(jy) + _abs2(jz) - _abs2(long_)
 
 
 def angular_bracket(g: InterferometerGeometry):

@@ -73,7 +73,7 @@ class FourVector:
 
     def conjugate(self) -> "FourVector":
         return FourVector(
-            np.conj(self.t), np.conj(self.x), np.conj(self.y), np.conj(self.z)
+            self.t.conjugate(), self.x.conjugate(), self.y.conjugate(), self.z.conjugate()
         )
 
     def spatial(self) -> np.ndarray:
@@ -84,7 +84,9 @@ class FourVector:
 
     def norm(self) -> float:
         """Euclidean magnitude of the components, used for error scales."""
-        return float(np.sqrt(sum(abs(c) ** 2 for c in self.as_array())))
+        return math.sqrt(
+            abs(self.t) ** 2 + abs(self.x) ** 2 + abs(self.y) ** 2 + abs(self.z) ** 2
+        )
 
     @staticmethod
     def zero() -> "FourVector":
@@ -97,20 +99,25 @@ def minkowski_dot(a: FourVector, b: FourVector) -> complex:
 
 
 def four_velocity(v3) -> FourVector:
-    """Unit timelike four-velocity gamma*(1, v3) for a three-velocity with |v3| < 1."""
+    """Unit timelike four-velocity gamma*(1, v3) for a three-velocity with |v3| < 1.
+
+    |v3|^2 stays a numpy dot product, which may fuse multiply-adds; the
+    components are Python floats, so later arithmetic runs on plain scalars.
+    """
     v3 = np.asarray(v3, dtype=float)
     speed2 = float(v3 @ v3)
-    if speed2 >= 1.0:
+    if not speed2 < 1.0:
         raise ValueError(f"three-velocity magnitude {math.sqrt(speed2)} must be < 1")
     gamma = 1.0 / math.sqrt(1.0 - speed2)
-    return FourVector(gamma, gamma * v3[0], gamma * v3[1], gamma * v3[2])
+    vx, vy, vz = v3.tolist()
+    return FourVector(gamma, gamma * vx, gamma * vy, gamma * vz)
 
 
 def boost(a: FourVector, v3) -> FourVector:
     """Apply a pure boost with three-velocity v3 (|v3| < 1) to a four-vector."""
     v3 = np.asarray(v3, dtype=float)
     b2 = float(v3 @ v3)
-    if b2 >= 1.0:
+    if not b2 < 1.0:
         raise ValueError("boost velocity must satisfy |v| < 1")
     if b2 == 0.0:
         return a
@@ -130,23 +137,23 @@ class PhotonMomentum:
     n_hat: tuple
 
     def __init__(self, omega: float, n_hat):
-        if omega < 0:
-            raise ValueError("photon frequency must be >= 0")
+        if not (math.isfinite(omega) and omega >= 0):
+            raise ValueError(f"photon frequency must be finite and >= 0, got {omega}")
         n = np.asarray(n_hat, dtype=float)
         mag = float(np.linalg.norm(n))
         if not math.isclose(mag, 1.0, rel_tol=0.0, abs_tol=1e-9):
             raise ValueError(f"direction must be a unit vector, got |n| = {mag}")
         n = n / mag  # remove residual float drift
         object.__setattr__(self, "omega", float(omega))
-        object.__setattr__(self, "n_hat", (float(n[0]), float(n[1]), float(n[2])))
+        object.__setattr__(self, "n_hat", tuple(n.tolist()))
 
-    @property
-    def nhat(self) -> np.ndarray:
-        return np.array(self.n_hat)
+    def components(self) -> tuple:
+        """(q^t, q^x, q^y, q^z) as plain floats, for kernels that skip the FourVector."""
+        w = self.omega
+        return w, w * self.n_hat[0], w * self.n_hat[1], w * self.n_hat[2]
 
     def four_vector(self) -> FourVector:
-        w = self.omega
-        return FourVector(w, w * self.n_hat[0], w * self.n_hat[1], w * self.n_hat[2])
+        return FourVector(*self.components())
 
     @staticmethod
     def from_angles(omega: float, theta: float, phi: float) -> "PhotonMomentum":
@@ -167,17 +174,18 @@ class WorldlineSegment:
     duration: float
 
     def __post_init__(self):
-        if self.duration <= 0:
-            raise ValueError("segment duration must be > 0")
+        if not (math.isfinite(self.duration) and self.duration > 0):
+            raise ValueError(f"segment duration must be finite and > 0, got {self.duration}")
         n2 = self.velocity.dot(self.velocity)
-        if abs(n2 - 1.0) > _NORM_TOL:
+        if not abs(n2 - 1.0) <= _NORM_TOL:
             raise ValueError(f"four-velocity norm^2 = {n2}, expected 1")
         if not self.velocity.t.real > 0:
             raise ValueError("four-velocity must be future-pointing")
 
     @property
     def end_event(self) -> FourVector:
-        return self.start_event + self.duration * self.velocity
+        x, u, d = self.start_event, self.velocity, self.duration
+        return FourVector(x.t + d * u.t, x.x + d * u.x, x.y + d * u.y, x.z + d * u.z)
 
 
 @dataclass(frozen=True)
@@ -192,10 +200,14 @@ class Worldline:
         if not segments:
             raise ValueError("worldline needs at least one segment")
         for a, b in zip(segments, segments[1:]):
-            gap = a.end_event - b.start_event
-            if max(abs(c) for c in gap.as_array()) > _CONTINUITY_TOL * max(
-                1.0, b.start_event.norm()
-            ):
+            end, start = a.end_event, b.start_event
+            gap = max(
+                abs(end.t - start.t),
+                abs(end.x - start.x),
+                abs(end.y - start.y),
+                abs(end.z - start.z),
+            )
+            if not gap <= _CONTINUITY_TOL * max(1.0, start.norm()):
                 raise ValueError("segments are not continuous")
         object.__setattr__(self, "segments", segments)
         object.__setattr__(self, "s_i", float(s_i))
@@ -249,12 +261,12 @@ class InterferometerGeometry:
     Xdot_2: FourVector = field(init=False)
 
     def __post_init__(self):
-        if self.l < 0:
-            raise ValueError("side length must be >= 0")
-        if self.tau <= 0:
-            raise ValueError("transit time must be > 0")
-        v = self.l / self.tau
-        if v >= 1.0:
+        if not (math.isfinite(self.l) and self.l >= 0):
+            raise ValueError(f"side length must be finite and >= 0, got {self.l}")
+        if not (math.isfinite(self.tau) and self.tau > 0):
+            raise ValueError(f"transit time must be finite and > 0, got {self.tau}")
+        v = float(self.l / self.tau)
+        if not v < 1.0:
             raise ValueError(f"speed l/tau = {v} is superluminal")
         gamma = 1.0 / math.sqrt(1.0 - v * v)
         object.__setattr__(self, "v", v)
@@ -265,8 +277,9 @@ class InterferometerGeometry:
         object.__setattr__(
             self, "detector", FourVector(2 * self.tau, self.l, self.l, 0.0)
         )
-        object.__setattr__(self, "Xdot_1", four_velocity([0.0, v, 0.0]))
-        object.__setattr__(self, "Xdot_2", four_velocity([v, 0.0, 0.0]))
+        # four_velocity along one axis: |v|^2 with two zero components is v*v
+        object.__setattr__(self, "Xdot_1", FourVector(gamma, 0.0, gamma * v, 0.0))
+        object.__setattr__(self, "Xdot_2", FourVector(gamma, gamma * v, 0.0, 0.0))
 
 
 def build_interferometer(l: float, tau: float):

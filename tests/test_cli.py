@@ -245,7 +245,7 @@ def test_estimate_slit(tmp_path, capsys):
     path = write_config(tmp_path, cfg)
     assert cli.main(["estimate-slit", "--config", path], environ={}) == 0
     payload = json.loads(capsys.readouterr().out)
-    assert payload["gamma_dressed_2slit"] == pytest.approx(1.1410110888e-5, rel=1e-9)
+    assert payload["gamma_dressed_2slit"] == pytest.approx(1.1410110888e-5, rel=1e-9, abs=0)
     assert payload["gamma_hard_printed_over_flagged"] == pytest.approx(2e4)
     assert "mirror" not in payload
 

@@ -271,3 +271,91 @@ def test_delta_current_conservation():
         for mode in ("exact", "dipole"):
             dj = delta_current(g, q, mode=mode)
             assert abs(qv.dot(dj)) <= 1e-12 * dj.norm()
+
+
+# ---------------------------------------------------------------------------
+# the scalar kernels against the FourVector route they replaced
+#
+# The kernels accumulate plain floats and complex numbers in the order that
+# FourVector arithmetic and numpy's complex expm1 use, so the reference below
+# must agree bit for bit, not just to round-off.
+
+
+def _ref_bracket(v_after, v_before, qv):
+    return v_after / qv.dot(v_after) - v_before / qv.dot(v_before)
+
+
+def _ref_current(w, q, charge):
+    qv = q.four_vector()
+    total = FourVector.zero()
+    for event, v_before, v_after in w.kinks():
+        phase = cmath.exp(1j * qv.dot(event))
+        total = total + phase * _ref_bracket(v_after, v_before, qv)
+    return (1j * charge) * total
+
+
+def _ref_soft(w, q, charge):
+    qv = q.four_vector()
+
+    def sub(event, vel):
+        return event - (qv.dot(event) / qv.dot(vel)) * vel
+
+    j_div = (1j * charge) * _ref_bracket(w.final_velocity, w.initial_velocity, qv)
+    j_sub = charge * (sub(w.end_event, w.final_velocity) - sub(w.start_event, w.initial_velocity))
+    acc = FourVector.zero()
+    for event, v_before, v_after in w.kinks():
+        phase_m1 = complex(np.expm1(1j * qv.dot(event)))
+        acc = acc + phase_m1 * _ref_bracket(v_after, v_before, qv)
+    return j_div, j_sub, (1j * charge) * acc - j_sub
+
+
+def _ref_delta(g, q, mode, charge):
+    qv = q.four_vector()
+    B = _ref_bracket(g.Xdot_1, g.Xdot_2, qv)
+    if mode == "exact":
+        phases = (
+            cmath.exp(1j * qv.dot(g.X_i))
+            - cmath.exp(1j * qv.dot(g.X_L))
+            - cmath.exp(1j * qv.dot(g.X_R))
+        )
+    else:
+        phases = 1.0 - 2.0 * cmath.exp(1j * q.omega * g.tau)
+    return (1j * charge * phases) * B
+
+
+def _ref_parts(g, q, charge):
+    B = _ref_bracket(g.Xdot_1, g.Xdot_2, q.four_vector())
+    wt = q.omega * g.tau
+    c_hard = 2j * (-complex(np.expm1(1j * wt)) + 1j * wt)
+    return (charge * -1j) * B, (charge * (2.0 * wt)) * B, (charge * c_hard) * B
+
+
+def _same(got, want):
+    return (got.t, got.x, got.y, got.z) == (want.t, want.x, want.y, want.z)
+
+
+def test_scalar_kernels_bit_identical_to_fourvector_route():
+    rng = np.random.default_rng(2024)
+    for _ in range(200):
+        w = random_worldline(rng)
+        q = random_momentum(rng, omega=float(10.0 ** rng.uniform(-6, 2)))
+        charge = float(rng.uniform(-2.0, 2.0))
+        tau = float(rng.uniform(0.5, 50.0))
+        g = InterferometerGeometry(float(rng.uniform(0.0, 0.9)) * tau, tau)
+
+        assert _same(current_fourier(w, q, charge), _ref_current(w, q, charge))
+        triple = soft_decompose(w, q, charge)
+        for got, want in zip((triple.j_div, triple.j_sub, triple.j_hard), _ref_soft(w, q, charge)):
+            assert _same(got, want)
+        for mode in ("exact", "dipole"):
+            assert _same(delta_current(g, q, mode, charge), _ref_delta(g, q, mode, charge))
+        parts = delta_current_parts(g, q, charge)
+        for got, want in zip((parts.j_div, parts.j_sub, parts.j_hard), _ref_parts(g, q, charge)):
+            assert _same(got, want)
+
+
+def test_dipole_hard_coefficient_matches_numpy_expm1():
+    rng = np.random.default_rng(5)
+    wts = np.concatenate([np.geomspace(1e-9, 1e4, 2001), 10.0 ** rng.uniform(-9, 4, 2000)])
+    for wt in wts.tolist():
+        assert dipole_coefficients(wt, 1.0)[2] == 2j * (-np.expm1(1j * wt) + 1j * wt)

@@ -65,7 +65,7 @@ def test_angular_integral_vs_closed_form():
         x12 = 1.0 / (1.0 - v * v)
         v12 = math.sqrt(1.0 - 1.0 / x12**2)
         want = 8.0 * math.pi * (atanh_over_x(v12) - 1.0)
-        assert got == pytest.approx(want, rel=1e-8)
+        assert got == pytest.approx(want, rel=1e-8, abs=0)
 
 
 @pytest.mark.parametrize("v", [1e-6, 1e-4, 1e-2, 0.5, 0.99])
@@ -83,7 +83,7 @@ def test_angular_integral_small_v_limit():
     v = 1e-3
     g = InterferometerGeometry(v, 1.0)
     got = angular_integral(g).value
-    assert got == pytest.approx((16.0 * math.pi / 3.0) * v * v, rel=1e-5)
+    assert got == pytest.approx((16.0 * math.pi / 3.0) * v * v, rel=1e-5, abs=0)
 
 
 def test_angular_kernel_consistency():
@@ -104,7 +104,7 @@ def test_angular_kernel_consistency():
         B = g.Xdot_1 / qv.dot(g.Xdot_1) - g.Xdot_2 / qv.dot(g.Xdot_2)
         want = omega**2 * gamma_kernel(B, q)
         got = float(f(*(np.asarray([c]) for c in n))[0])
-        assert got == pytest.approx(want, rel=1e-10)
+        assert got == pytest.approx(want, rel=1e-10, abs=0)
 
 
 def test_dressed_vs_closed_form():
@@ -113,15 +113,15 @@ def test_dressed_vs_closed_form():
         cut = CutoffSet(omega_uv=uv)
         got = gamma_dressed(g, cut).value
         want = closed_forms(g, cut).dressed
-        assert got == pytest.approx(want, rel=1e-6)
+        assert got == pytest.approx(want, rel=1e-6, abs=0)
 
 
 def test_sub_and_hard_vs_closed_form():
     g = InterferometerGeometry(0.3, 2.0)
     cut = CutoffSet(omega_uv=20.0)
     cf = closed_forms(g, cut)
-    assert gamma_sub(g, cut).value == pytest.approx(cf.sub, rel=1e-8)
-    assert gamma_hard(g, cut).value == pytest.approx(cf.hard, rel=1e-8)
+    assert gamma_sub(g, cut).value == pytest.approx(cf.sub, rel=1e-8, abs=0)
+    assert gamma_hard(g, cut).value == pytest.approx(cf.hard, rel=1e-8, abs=0)
 
 
 def test_cross_term_completeness():
@@ -132,7 +132,7 @@ def test_cross_term_completeness():
     s = gamma_sub(g, cut).value
     h = gamma_hard(g, cut).value
     x = gamma_cross_term(g, cut).value
-    assert s + h + x == pytest.approx(d, rel=1e-8)
+    assert s + h + x == pytest.approx(d, rel=1e-8, abs=0)
 
 
 def test_dressing_is_decoupling():
@@ -169,7 +169,7 @@ def test_variants_match_independent_closed_forms_at_wide_band():
         assert rep.converged, wt
         for name, f in freq.items():
             got = getattr(rep, f"gamma_{name}")
-            assert got == pytest.approx(pref * f, rel=1e-10), (wt, name)
+            assert got == pytest.approx(pref * f, rel=1e-10, abs=0), (wt, name)
 
 
 def _count_passes(monkeypatch):
@@ -219,7 +219,7 @@ def test_full_with_cutoff_and_ln2_increment():
     lam = 1e-5
     g1 = gamma_full(g, CutoffSet(omega_uv=15.0, lambda_ir=lam)).value
     g2 = gamma_full(g, CutoffSet(omega_uv=15.0, lambda_ir=lam / 2.0)).value
-    assert g2 - g1 == pytest.approx(b_want * math.log(2.0), rel=1e-6)
+    assert g2 - g1 == pytest.approx(b_want * math.log(2.0), rel=1e-6, abs=0)
 
 
 def test_divergence_fit_full():
@@ -229,7 +229,7 @@ def test_divergence_fit_full():
     e2 = E2_ELECTRON
     want = e2 * closed_forms(g, cut, e2).angular_exact / (32.0 * math.pi**3)
     assert fit.ok
-    assert fit.coefficient == pytest.approx(want, rel=1e-3)
+    assert fit.coefficient == pytest.approx(want, rel=1e-3, abs=0)
 
 
 def test_divergence_fit_dressed_is_flat():
@@ -252,7 +252,7 @@ def test_finite_temperature_monotone_and_zero_limit():
     assert vals[0] >= vals[1] >= vals[2]
     cold = gamma_dressed(g, CutoffSet(omega_uv=15.0, beta=1e7)).value
     zero = gamma_dressed(g, CutoffSet(omega_uv=15.0)).value
-    assert cold == pytest.approx(zero, rel=1e-6)
+    assert cold == pytest.approx(zero, rel=1e-6, abs=0)
     assert vals[0] > zero
 
 
@@ -331,4 +331,4 @@ def test_kernel_route_matches_scalar_route():
         4.0 * (2.0 * math.pi) ** 3
     )
     engine = gamma_dressed(g, cut, spec).value
-    assert direct == pytest.approx(engine, rel=1e-6)
+    assert direct == pytest.approx(engine, rel=1e-6, abs=0)

@@ -59,8 +59,8 @@ def test_gamma_dressed_2slit_frozen():
     s = _slit()
     got = gamma_dressed_2slit(s)
     want = (16.0 * s.alpha / (3.0 * math.pi)) * 1e-4 * math.log(1e4)
-    assert got == pytest.approx(want, rel=1e-14)
-    assert got == pytest.approx(1.1410110888e-5, rel=1e-9)
+    assert got == pytest.approx(want, rel=1e-14, abs=0)
+    assert got == pytest.approx(1.1410110888e-5, rel=1e-9, abs=0)
 
 
 def test_gamma_dressed_2slit_charge_scaling():
@@ -72,11 +72,11 @@ def test_gamma_hard_2slit_frozen_and_ratio():
     s = _slit(a_o=1e-3, L_o=1e-2)  # L_o/a_o = 10
     printed, flagged, ratio = gamma_hard_2slit(s)
     want_printed = (8.0 * s.alpha / (3.0 * math.pi)) * (2.0 * math.log(10.0) + 50.0)
-    assert printed == pytest.approx(want_printed, rel=1e-14)
-    assert printed == pytest.approx(0.33823454, rel=1e-6)
+    assert printed == pytest.approx(want_printed, rel=1e-14, abs=0)
+    assert printed == pytest.approx(0.33823454, rel=1e-6, abs=0)
     # restoring the velocity factor costs (v/c)^2 and a coefficient half
-    assert ratio == pytest.approx(2.0 / s.v_over_c**2, rel=1e-14)
-    assert flagged == pytest.approx(printed * s.v_over_c**2 / 2.0, rel=1e-12)
+    assert ratio == pytest.approx(2.0 / s.v_over_c**2, rel=1e-14, abs=0)
+    assert flagged == pytest.approx(printed * s.v_over_c**2 / 2.0, rel=1e-12, abs=0)
 
 
 def _mirror(**kw):
@@ -100,22 +100,22 @@ def test_vdw_far_frozen():
     with pytest.warns(UserWarning):
         got = vdw_potential(p, "far")  # Z_o = r_o triggers the regime warning
     want = -(9.0 / (16.0 * math.pi)) / 16.0
-    assert got == pytest.approx(want, rel=1e-14)
-    assert got == pytest.approx(-0.011190581936, rel=1e-9)
+    assert got == pytest.approx(want, rel=1e-14, abs=0)
+    assert got == pytest.approx(-0.011190581936, rel=1e-9, abs=0)
 
 
 def test_vdw_far_distance_scaling():
     p1, p2 = _mirror(Z_o=10.0), _mirror(Z_o=21.0)
     got = vdw_potential(p1, "far") / vdw_potential(p2, "far")
     want = ((p2.r_o + p2.Z_o) / (p1.r_o + p1.Z_o)) ** 4
-    assert got == pytest.approx(want, rel=1e-12)
+    assert got == pytest.approx(want, rel=1e-12, abs=0)
 
 
 def test_vdw_near_coefficient():
     p = _mirror(r_o=10.0, Z_o=1.0)
     got = vdw_potential(p, "near")
     coeff = float((mpmath.mpf(1) / 3 - 5 / mpmath.pi**2) * mpmath.pi**3 / 720)
-    assert got == pytest.approx(coeff / p.Z_o, rel=1e-12)
+    assert got == pytest.approx(coeff / p.Z_o, rel=1e-12, abs=0)
     assert got < 0
 
 
@@ -134,19 +134,19 @@ def test_surface_coupling_frozen():
     want = float(
         -(mpmath.sqrt(2) * mpmath.pi**2 / 3) * mpmath.besselk(2, 1)
     )
-    assert got == pytest.approx(want, rel=1e-10)
+    assert got == pytest.approx(want, rel=1e-10, abs=0)
     # phase factor flips the sign at q X_o = pi
     flipped = surface_coupling(_mirror(r_o=1.0, Z_o=1.0, q=1.0, X_o=math.pi))
-    assert flipped == pytest.approx(-got, rel=1e-10)
+    assert flipped == pytest.approx(-got, rel=1e-10, abs=0)
 
 
 def test_rayleigh_rate():
     p = _mirror(epsilon=2.0, r_o=1.0)
     got = rayleigh_rate(p, 1.0)
     want = (8.0 * math.pi / 3.0) * (1.0 / 4.0) ** 2
-    assert got == pytest.approx(want, rel=1e-14)
+    assert got == pytest.approx(want, rel=1e-14, abs=0)
     # |q|^4 scaling
-    assert rayleigh_rate(p, 2.0) == pytest.approx(16.0 * got, rel=1e-12)
+    assert rayleigh_rate(p, 2.0) == pytest.approx(16.0 * got, rel=1e-12, abs=0)
     with pytest.raises(ValueError):
         rayleigh_rate(p, 0.0)
 
@@ -154,4 +154,4 @@ def test_rayleigh_rate():
 def test_rayleigh_conductor_limit():
     p = _mirror(epsilon=1e9)
     got = rayleigh_rate(p, 1.0)
-    assert got == pytest.approx(8.0 * math.pi / 3.0, rel=1e-8)
+    assert got == pytest.approx(8.0 * math.pi / 3.0, rel=1e-8, abs=0)

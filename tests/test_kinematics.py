@@ -161,3 +161,72 @@ def test_build_interferometer_branches():
     # opposite velocity ordering
     assert wl_L.initial_velocity is g.Xdot_1
     assert wl_R.initial_velocity is g.Xdot_2
+
+
+# ---------------------------------------------------------------------------
+# non-finite inputs and plain-float components
+
+
+@pytest.mark.parametrize(
+    "omega, n_hat",
+    [
+        (math.nan, [0.0, 0.0, 1.0]),
+        (math.inf, [0.0, 0.0, 1.0]),
+        (1.0, [math.nan, 0.0, 1.0]),
+        (1.0, [0.0, math.inf, 0.0]),
+    ],
+)
+def test_photon_momentum_rejects_nonfinite(omega, n_hat):
+    with pytest.raises(ValueError):
+        PhotonMomentum(omega, n_hat)
+
+
+@pytest.mark.parametrize(
+    "v3", [[math.nan, 0.0, 0.0], [0.0, math.inf, 0.0], [0.0, 0.0, -math.inf]]
+)
+def test_four_velocity_rejects_nonfinite(v3):
+    with pytest.raises(ValueError):
+        four_velocity(v3)
+
+
+@pytest.mark.parametrize(
+    "l, tau", [(math.nan, 1.0), (0.5, math.nan), (math.inf, 1.0), (0.5, math.inf)]
+)
+def test_geometry_rejects_nonfinite(l, tau):
+    with pytest.raises(ValueError):
+        InterferometerGeometry(l, tau)
+
+
+@pytest.mark.parametrize("duration", [math.nan, math.inf])
+def test_segment_rejects_nonfinite_duration(duration):
+    with pytest.raises(ValueError):
+        WorldlineSegment(FourVector.zero(), four_velocity([0.1, 0.0, 0.0]), duration)
+
+
+def test_kinematic_components_are_python_floats():
+    # the current kernels run on plain scalars only if their inputs do:
+    # a numpy float64 component would turn every later operation into numpy
+    # scalar arithmetic
+    seg = WorldlineSegment(
+        FourVector(0.1, -0.2, 0.3, 0.4), four_velocity(np.array([0.2, -0.1, 0.3])), 1.5
+    )
+    g = InterferometerGeometry(np.float64(0.3), 1.0)
+    vecs = [
+        four_velocity([0.1, -0.2, 0.3]),
+        seg.velocity,
+        seg.end_event,
+        PhotonMomentum(np.float64(2.0), np.array([0.0, 0.6, 0.8])).four_vector(),
+        g.Xdot_1,
+        g.Xdot_2,
+    ]
+    for vec in vecs:
+        assert [type(c) for c in (vec.t, vec.x, vec.y, vec.z)] == [float] * 4
+
+
+def test_geometry_velocities_equal_four_velocity():
+    # Xdot_1 and Xdot_2 are built directly; |v|^2 with two zero components
+    # is v*v in any summation order, so they equal four_velocity exactly
+    for l, tau in ((0.3, 1.0), (1.7, 2.0), (0.123456789, 0.987654321), (0.0, 1.0)):
+        g = InterferometerGeometry(l, tau)
+        assert g.Xdot_1 == four_velocity([0.0, g.v, 0.0])
+        assert g.Xdot_2 == four_velocity([g.v, 0.0, 0.0])
