@@ -47,12 +47,8 @@ from .decoherence import (
     gamma_kernel,
     angular_bracket,
     angular_integral,
-    gamma_variant,
-    gamma_full,
-    gamma_dressed,
-    gamma_sub,
-    gamma_hard,
-    gamma_cross_term,
+    VARIANTS,
+    gamma,
     closed_forms,
     decoherence_report,
     divergence_coefficient,

@@ -129,12 +129,18 @@ def _require_number(cfg, dotted, minimum=None, strict=False, allow_none=False):
         raise ConfigError(dotted, "must not be null")
     if not isinstance(node, (int, float)) or isinstance(node, bool):
         raise ConfigError(dotted, f"expected a number, got {node!r}")
+    try:
+        value = float(node)
+    except OverflowError:  # an integer beyond the float range
+        value = math.inf
+    if not math.isfinite(value):
+        raise ConfigError(dotted, f"must be finite, got {value}")
     if minimum is not None:
         if strict and not node > minimum:
             raise ConfigError(dotted, f"must be > {minimum}, got {node}")
         if not strict and not node >= minimum:
             raise ConfigError(dotted, f"must be >= {minimum}, got {node}")
-    return float(node)
+    return value
 
 
 def _validate(cfg: dict):
@@ -174,7 +180,9 @@ def _validate(cfg: dict):
         param = sweep["parameter"]
         if not isinstance(param, str) or param not in _SWEEPABLE:
             raise ConfigError("sweep.parameter", f"not a sweepable number: {param!r}")
-        if sweep["scale"] == "log" and sweep["start"] <= 0:
+        start = _require_number(cfg, "sweep.start")
+        _require_number(cfg, "sweep.stop")
+        if sweep["scale"] == "log" and start <= 0:
             raise ConfigError("sweep.start", "log scale requires start > 0")
 
 
@@ -479,7 +487,7 @@ def _check_dressed_closed_form(cfg, rng):
         return True, "trivial at v = 0"
     # the closed form is the zero-temperature one
     cut = dataclasses.replace(cut, beta=None)
-    got = decoherence.gamma_dressed(geom, cut, spec, e2).value
+    got = decoherence.gamma(geom, cut, "dressed", spec, e2).value
     want = decoherence.closed_forms(geom, cut, e2).dressed
     dev = abs(got - want) / want
     return dev <= 1e-6, f"relative deviation {dev:.3e}"

@@ -8,14 +8,14 @@ c_sub = 2x, c_hard = c_dressed - c_sub, c_dressed = -2i expm1(ix), x = w tau.
 So every variant, and the sub/hard cross term, contracts one Gram matrix
 Int Re(c_i conj(c_j)) [coth] dw/w in the basis (div, sub, dressed).  Its
 pointwise entries are dd = 1, ss = 4x^2, DD = 16 sin^2(x/2), sD = 4x sin x,
-dD = -DD/4 and ds = 0.  One angular and one frequency pass over these four
-rows give dressed = DD, sub = ss, hard = ss + DD - 2 sD and cross =
-2 sD - 2 ss over [0, Omega], and full = dd + DD + 2 dD = dd + DD/2 over
-[lambda, Omega] only.  Above the first 64 periods of cos(x) the rows are
-handed over in the split form a + b cos(x) + c sin(x): dd = (W, 0, 0),
-ss = (4x^2 W, 0, 0), DD = (8W, -8W, 0) and sD = (0, 0, 4xW), with
-W = [coth(beta w / 2)] / w, which the frequency rule integrates at a cost
-independent of Omega tau.
+dD = -DD/4 and ds = 0.  VARIANTS holds each variant's weights on the four
+rows (dd, ss, DD, sD); one angular and one frequency pass over these rows
+serve every variant.  Dressing deletes c_div, so only full, over
+[lambda, Omega], weighs the dd row; the others run over [0, Omega].  Above
+the first 64 periods of cos(x) the rows are handed over in the split form
+a + b cos(x) + c sin(x): dd = (W, 0, 0), ss = (4x^2 W, 0, 0),
+DD = (8W, -8W, 0) and sD = (0, 0, 4xW), with W = [coth(beta w / 2)] / w,
+which the frequency rule integrates at a cost independent of Omega tau.
 
 Hard is never a basis vector: c_sub and c_hard both grow like Omega tau, so
 a (sub, hard) basis would build dressed = ss + hh + 2 sh by cancelling terms
@@ -53,19 +53,23 @@ __all__ = [
     "gamma_kernel",
     "angular_bracket",
     "angular_integral",
-    "gamma_variant",
-    "gamma_full",
-    "gamma_dressed",
-    "gamma_sub",
-    "gamma_hard",
-    "gamma_cross_term",
+    "VARIANTS",
+    "gamma",
     "closed_forms",
     "decoherence_report",
     "divergence_coefficient",
 ]
 
-_ALL_PARTS = ("div", "sub", "hard")
-_PARTS = {"full": _ALL_PARTS, "dressed": ("sub", "hard"), "sub": ("sub",), "hard": ("hard",)}
+# Weights of the Gram rows (dd, ss, DD, sD) in |c|^2 for each variant, c the
+# sum of its current pieces; cross is 2 Re(c_sub conj(c_hard)), so that
+# dressed = sub + hard + cross.
+VARIANTS = {
+    "full": (1.0, 0.0, 0.5, 0.0),
+    "dressed": (0.0, 0.0, 1.0, 0.0),
+    "sub": (0.0, 1.0, 0.0, 0.0),
+    "hard": (0.0, 1.0, 1.0, -2.0),
+    "cross": (0.0, -2.0, 0.0, 2.0),
+}
 
 
 class IRDivergenceError(ValueError):
@@ -81,12 +85,15 @@ class CutoffSet:
     beta: float | None = None
 
     def __post_init__(self):
-        if self.lambda_ir < 0:
+        # written so that NaN fails every check
+        if not self.lambda_ir >= 0:
             raise ValueError("lambda_ir must be >= 0")
         if not self.lambda_ir < self.omega_uv:
             raise ValueError("lambda_ir must be < omega_uv")
-        if self.beta is not None and self.beta <= 0:
-            raise ValueError("beta must be > 0 when present")
+        if not math.isfinite(self.omega_uv):
+            raise ValueError("omega_uv must be finite")
+        if self.beta is not None and not (math.isfinite(self.beta) and self.beta > 0):
+            raise ValueError("beta must be finite and > 0 when present")
 
 
 def _abs2(c: complex) -> float:
@@ -127,17 +134,6 @@ def angular_integral(
     g: InterferometerGeometry, spec: QuadratureSpec = QuadratureSpec()
 ) -> QuadratureResult:
     return sphere_integrate(angular_bracket(g), spec)
-
-
-def _pieces_weights(parts) -> tuple:
-    """Weights of the rows (dd, ss, DD, sD) in |c|^2, c the sum of the pieces.
-
-    Basis (div, sub, dressed): div = (1, 0, 0), sub = (0, 1, 0), hard = (0, -1, 1).
-    """
-    d = float("div" in parts)
-    h = float("hard" in parts)
-    s = float("sub" in parts) - h
-    return (d * d, s * s, h * h - 0.5 * d * h, 2.0 * s * h)
 
 
 def _gram_weight(omega, beta: float | None):
@@ -210,73 +206,27 @@ def _gammas(g: InterferometerGeometry, cut: CutoffSet, spec, e2, requests) -> li
     return out
 
 
-def gamma_variant(
+def _request(name: str, cut: CutoffSet):
+    """(row weights, lo) of a variant: full runs from lambda_ir, the others from 0."""
+    if name not in VARIANTS:
+        raise ValueError(f"unknown variant {name!r}; expected one of {sorted(VARIANTS)}")
+    return VARIANTS[name], cut.lambda_ir if name == "full" else 0.0
+
+
+def gamma(
     g: InterferometerGeometry,
     cut: CutoffSet,
+    variant: str,
     spec: QuadratureSpec = QuadratureSpec(),
-    parts=_ALL_PARTS,
     e2: float = E2_ELECTRON,
-    lo: float | None = None,
 ) -> QuadratureResult:
-    """Generic engine: decoherence from the selected current pieces.
+    """The functional named by variant, a key of VARIANTS.
 
-    lo defaults to cut.lambda_ir.  Any subset of ("div", "sub", "hard") may
-    be selected; dressing is exactly the removal of "div" from this set.
+    full is the undressed functional, which diverges like ln(1/lambda_ir) and
+    raises IRDivergenceError at lambda_ir = 0; dressed decouples the
+    divergent current and is IR-finite.
     """
-    if lo is None:
-        lo = cut.lambda_ir
-    return _gammas(g, cut, spec, e2, [(_pieces_weights(parts), lo)])[0]
-
-
-def gamma_full(
-    g: InterferometerGeometry,
-    cut: CutoffSet,
-    spec: QuadratureSpec = QuadratureSpec(),
-    e2: float = E2_ELECTRON,
-) -> QuadratureResult:
-    """Undressed functional; diverges logarithmically as lambda_ir -> 0."""
-    return gamma_variant(g, cut, spec, parts=_ALL_PARTS, e2=e2)
-
-
-def gamma_dressed(
-    g: InterferometerGeometry,
-    cut: CutoffSet,
-    spec: QuadratureSpec = QuadratureSpec(),
-    e2: float = E2_ELECTRON,
-) -> QuadratureResult:
-    """Dressed functional: divergent current decoupled, IR-finite at lambda = 0."""
-    return gamma_variant(g, cut, spec, _PARTS["dressed"], e2, lo=0.0)
-
-
-def gamma_sub(
-    g: InterferometerGeometry,
-    cut: CutoffSet,
-    spec: QuadratureSpec = QuadratureSpec(),
-    e2: float = E2_ELECTRON,
-) -> QuadratureResult:
-    return gamma_variant(g, cut, spec, _PARTS["sub"], e2, lo=0.0)
-
-
-def gamma_hard(
-    g: InterferometerGeometry,
-    cut: CutoffSet,
-    spec: QuadratureSpec = QuadratureSpec(),
-    e2: float = E2_ELECTRON,
-) -> QuadratureResult:
-    return gamma_variant(g, cut, spec, _PARTS["hard"], e2, lo=0.0)
-
-
-def gamma_cross_term(
-    g: InterferometerGeometry,
-    cut: CutoffSet,
-    spec: QuadratureSpec = QuadratureSpec(),
-    e2: float = E2_ELECTRON,
-) -> QuadratureResult:
-    """Sub/hard interference term 2 Re(c_sub conj(c_hard)) = 2 sD - 2 ss.
-
-    With it, dressed = sub + hard + cross.
-    """
-    return _gammas(g, cut, spec, e2, [((0.0, -2.0, 0.0, 2.0), 0.0)])[0]
+    return _gammas(g, cut, spec, e2, [_request(variant, cut)])[0]
 
 
 def _atanh_over_x_minus_1(x: float) -> float:
@@ -392,11 +342,8 @@ def decoherence_report(
     The undressed value is included when lambda_ir > 0; with lambda_ir = 0 it
     is None rather than divergent.
     """
-    names = [name for name in _PARTS if cut.lambda_ir > 0 or name != "full"]
-    requests = [
-        (_pieces_weights(_PARTS[name]), cut.lambda_ir if name == "full" else 0.0)
-        for name in names
-    ]
+    names = [n for n in ("full", "dressed", "sub", "hard") if cut.lambda_ir > 0 or n != "full"]
+    requests = [_request(name, cut) for name in names]
     res = dict(zip(names, _gammas(g, cut, spec, e2, requests)))
     return DecoherenceReport(
         gamma_full=res["full"].value if "full" in res else None,
@@ -440,7 +387,7 @@ def divergence_coefficient(
     lams = cut.lambda_ir * 0.5 ** np.arange(n_points)
     xs = np.log(1.0 / lams)
     # one pass split at every rung: the ladder adds [lambda_k, lambda_{k-1}]
-    requests = [(_pieces_weights(_PARTS[variant]), lam) for lam in lams]
+    requests = [(VARIANTS[variant], lam) for lam in lams]
     ys = np.array([r.value for r in _gammas(g, cut, spec, e2, requests)])
     b, a = np.polyfit(xs, ys, 1)
     resid = ys - (a + b * xs)

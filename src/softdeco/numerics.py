@@ -265,14 +265,11 @@ def freq_integrate(
     2*pi/(tau*panels_per_period) resolve the oscillation; the leading panel
     is subdivided geometrically when lo is far below the panel scale so
     that 1/omega factors are handled robustly.  All nodes are interior, so
-    lo = 0 is admissible whenever g is bounded there.
+    lo = 0 is admissible whenever g is bounded there.  This is the
+    one-segment, split-free case of freq_integrate_rows.
     """
-    if not lo < hi:
-        raise ValueError("freq_integrate requires lo < hi")
-    if lo < 0:
-        raise ValueError("freq_integrate requires lo >= 0")
-    coarse, fine = _panel_pass(g, _panel_edges(lo, hi, tau, spec.panels_per_period))
-    return QuadratureResult.from_pair(float(coarse), float(fine), spec)
+    coarse, fine = freq_integrate_rows(g, [lo, hi], tau, spec)
+    return QuadratureResult.from_pair(float(coarse[0]), float(fine[0]), spec)
 
 
 def freq_integrate_rows(

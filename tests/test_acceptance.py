@@ -25,10 +25,8 @@ from softdeco import (
     divergence_coefficient,
     four_velocity,
     freq_integrate,
-    gamma_dressed,
+    gamma,
     gamma_dressed_2slit,
-    gamma_hard,
-    gamma_sub,
     rayleigh_rate,
     soft_decompose,
     soft_factors,
@@ -72,7 +70,7 @@ def test_dressed_functional_asymptote():
     ok = True
     for uv in (1e3, 1e4, 1e5, 1e6):
         cut = CutoffSet(omega_uv=uv)
-        got = gamma_dressed(g, cut).value
+        got = gamma(g, cut, "dressed").value
         cf = closed_forms(g, cut)
         ok = ok and abs(got - cf.dressed) <= 1e-6 * cf.dressed
         devs.append(abs(got / cf.dressed_asymptotic - 1.0))
@@ -88,14 +86,14 @@ def test_subleading_functional_scaling():
     for v in (0.01, 0.05):
         g = InterferometerGeometry(v, 1.0)
         cut = CutoffSet(omega_uv=100.0)
-        got = gamma_sub(g, cut).value
+        got = gamma(g, cut, "sub").value
         want = E2_ELECTRON * cut.omega_uv**2 * g.l**2 / (3.0 * math.pi**2)
         ok = ok and abs(got / want - 1.0) <= 2.0 * v * v
     # quadratic growth with the arm length at fixed tau
     tau, uv = 10.0, 10.0
     ls = np.array([0.05, 0.1, 0.2, 0.4])
     ys = [
-        gamma_sub(InterferometerGeometry(float(l), tau), CutoffSet(omega_uv=uv)).value
+        gamma(InterferometerGeometry(float(l), tau), CutoffSet(omega_uv=uv), "sub").value
         for l in ls
     ]
     slope = np.polyfit(np.log(ls), np.log(ys), 1)[0]
@@ -104,7 +102,7 @@ def test_subleading_functional_scaling():
     # Gamma_sub depends on l and Omega only, up to O(v^2) corrections
     l, uv = 0.1, 5.0
     vals = [
-        gamma_sub(InterferometerGeometry(l, tau), CutoffSet(omega_uv=uv)).value
+        gamma(InterferometerGeometry(l, tau), CutoffSet(omega_uv=uv), "sub").value
         for tau in (2.0, 4.0, 8.0)
     ]
     v_max = l / 2.0
@@ -120,7 +118,7 @@ def test_hard_functional_coefficient():
     v = 0.01
     g = InterferometerGeometry(v, 1.0)
     cut = CutoffSet(omega_uv=1e3)
-    got = gamma_hard(g, cut).value
+    got = gamma(g, cut, "hard").value
     cf = closed_forms(g, cut)
     ok = abs(got / cf.hard_asymptotic - 1.0) <= 0.01
     ratio = got / cf.hard_halved
@@ -220,11 +218,11 @@ def test_thermal_monotonicity():
     g = InterferometerGeometry(0.2, 3.0)
     betas = (2.0, 10.0, 50.0, 250.0, 1250.0)
     vals = [
-        gamma_dressed(g, CutoffSet(omega_uv=15.0, beta=b)).value for b in betas
+        gamma(g, CutoffSet(omega_uv=15.0, beta=b), "dressed").value for b in betas
     ]
     ok = all(a >= b for a, b in zip(vals, vals[1:]))
-    cold = gamma_dressed(g, CutoffSet(omega_uv=15.0, beta=1e7)).value
-    zero = gamma_dressed(g, CutoffSet(omega_uv=15.0)).value
+    cold = gamma(g, CutoffSet(omega_uv=15.0, beta=1e7), "dressed").value
+    zero = gamma(g, CutoffSet(omega_uv=15.0), "dressed").value
     ok = ok and abs(cold - zero) <= 1e-6 * zero
     report("thermal_monotonicity", ok)
 

@@ -76,6 +76,47 @@ def test_full_variant_needs_ir_cutoff(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["gamma"]["full"] > 0
 
 
+@pytest.mark.parametrize(
+    "key, raw",
+    [
+        ("geometry.tau", "Infinity"),
+        ("geometry.l", "NaN"),
+        ("cutoffs.omega_uv", "Infinity"),
+        ("cutoffs.beta", "Infinity"),
+        ("charge.Q", "-Infinity"),
+        pytest.param("cutoffs.omega_uv", "1" + "0" * 400, id="cutoffs.omega_uv-1e400"),
+    ],
+)
+@pytest.mark.parametrize("source", ["file", "env"])
+def test_nonfinite_numbers_rejected(tmp_path, capsys, key, raw, source):
+    # zero temperature is beta: null, so beta: Infinity is an error too; an
+    # integer literal beyond the float range counts as infinite
+    block, name = key.split(".")
+    path = tmp_path / "cfg.json"
+    env = {}
+    if source == "file":
+        path.write_text(f'{{"{block}": {{"{name}": {raw}}}}}')
+    else:
+        path.write_text("{}")
+        env = {f"SOFTDECO_{block}_{name}".upper(): raw}
+    with pytest.raises(cli.ConfigError, match=re.escape(f"'{key}': must be finite")):
+        cli.load_config(str(path), environ=env)
+    assert cli.main(["gamma", "--config", str(path)], environ=env) == 1
+    assert f"'{key}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "key, value", [("start", math.inf), ("stop", math.nan), ("start", "1"), ("stop", None)]
+)
+def test_sweep_bounds_must_be_finite_numbers(tmp_path, key, value):
+    cfg = _sweep_cfg()
+    cfg["sweep"][key] = value
+    path = write_config(tmp_path, cfg)
+    with pytest.raises(cli.ConfigError, match=f"'sweep.{key}'"):
+        cli.load_config(path, environ={})
+    assert cli.main(["sweep", "--config", path, "--out", str(tmp_path / "x.csv")], environ={}) == 1
+
+
 def test_variants_key_is_gone(tmp_path):
     # a config file that still carries it loads; as an override it is unknown
     cli.load_config(write_config(tmp_path, {"variants": ["full"]}), environ={})

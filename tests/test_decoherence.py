@@ -12,21 +12,19 @@ from softdeco import (
     IRDivergenceError,
     PhotonMomentum,
     QuadratureSpec,
+    VARIANTS,
     angular_integral,
     atanh_over_x,
     closed_forms,
     decoherence_report,
     delta_current,
+    dipole_coefficients,
     divergence_coefficient,
-    gamma_cross_term,
-    gamma_dressed,
-    gamma_full,
-    gamma_hard,
+    gamma,
     gamma_kernel,
-    gamma_sub,
-    gamma_variant,
 )
 from softdeco import decoherence
+from softdeco.decoherence import _gram_rows
 from softdeco.numerics import E2_ELECTRON, EULER_GAMMA
 
 FAST = QuadratureSpec(n_theta=16, n_phi=32)
@@ -40,6 +38,21 @@ def test_cutoffs_validation():
         CutoffSet(omega_uv=1.0, lambda_ir=2.0)
     with pytest.raises(ValueError):
         CutoffSet(omega_uv=1.0, beta=0.0)
+
+
+@pytest.mark.parametrize(
+    "omega_uv, lambda_ir, beta",
+    [
+        (math.inf, 0.0, None),
+        (math.nan, 0.0, None),
+        (1.0, math.nan, None),
+        (1.0, 0.0, math.nan),
+        (1.0, 0.0, math.inf),
+    ],
+)
+def test_cutoffs_reject_nonfinite(omega_uv, lambda_ir, beta):
+    with pytest.raises(ValueError):
+        CutoffSet(omega_uv=omega_uv, lambda_ir=lambda_ir, beta=beta)
 
 
 def test_kernel_nonnegative_and_transverse():
@@ -111,7 +124,7 @@ def test_dressed_vs_closed_form():
     for l, tau, uv in ((0.01, 1.0, 50.0), (0.3, 2.0, 20.0), (1.0, 100.0, 10.0)):
         g = InterferometerGeometry(l, tau)
         cut = CutoffSet(omega_uv=uv)
-        got = gamma_dressed(g, cut).value
+        got = gamma(g, cut, "dressed").value
         want = closed_forms(g, cut).dressed
         assert got == pytest.approx(want, rel=1e-6, abs=0)
 
@@ -120,29 +133,51 @@ def test_sub_and_hard_vs_closed_form():
     g = InterferometerGeometry(0.3, 2.0)
     cut = CutoffSet(omega_uv=20.0)
     cf = closed_forms(g, cut)
-    assert gamma_sub(g, cut).value == pytest.approx(cf.sub, rel=1e-8, abs=0)
-    assert gamma_hard(g, cut).value == pytest.approx(cf.hard, rel=1e-8, abs=0)
+    assert gamma(g, cut, "sub").value == pytest.approx(cf.sub, rel=1e-8, abs=0)
+    assert gamma(g, cut, "hard").value == pytest.approx(cf.hard, rel=1e-8, abs=0)
 
 
 def test_cross_term_completeness():
     # dressed = sub + hard + interference, term by term from the same engine
     g = InterferometerGeometry(0.2, 3.0)
     cut = CutoffSet(omega_uv=15.0)
-    d = gamma_dressed(g, cut).value
-    s = gamma_sub(g, cut).value
-    h = gamma_hard(g, cut).value
-    x = gamma_cross_term(g, cut).value
+    d = gamma(g, cut, "dressed").value
+    s = gamma(g, cut, "sub").value
+    h = gamma(g, cut, "hard").value
+    x = gamma(g, cut, "cross").value
     assert s + h + x == pytest.approx(d, rel=1e-8, abs=0)
 
 
-def test_dressing_is_decoupling():
-    # the dressed value is literally the generic engine with the divergent
-    # piece removed from the parts set; no separate formula is involved
+# the current pieces each variant keeps, as indices into (c_div, c_sub, c_hard)
+_PIECES = {"full": (0, 1, 2), "dressed": (1, 2), "sub": (1,), "hard": (2,), "cross": (1, 2)}
+
+
+@pytest.mark.parametrize("tau", [0.5, 3.0, 100.0])
+def test_variant_weights_match_dipole_coefficients(tau):
+    # every row of VARIANTS, contracted with the Gram rows, is |sum of the
+    # kept pieces|^2 of currents.dipole_coefficients, or 2 Re(c_sub conj(c_hard))
+    # for cross: dressing is deleting c_div, where the coefficients are written.
+    # The scale includes the table's own terms, since hard cancels O(x^2) to x^4.
+    omega = np.geomspace(1e-8, 1e7, 3001) / tau
+    rows = _gram_rows(omega, tau, None) * omega
+    coeffs = [dipole_coefficients(float(om), tau) for om in omega]
+    for name, weights in VARIANTS.items():
+        got = np.asarray(weights) @ rows
+        table_scale = np.abs(np.asarray(weights)[:, None] * rows).sum(axis=0)
+        pieces = _PIECES[name]
+        for k, c in enumerate(coeffs):
+            if name == "cross":
+                want = 2.0 * (c[1] * c[2].conjugate()).real
+            else:
+                want = abs(sum(c[p] for p in pieces)) ** 2
+            scale = max(table_scale[k], sum(abs(c[p]) ** 2 for p in pieces))
+            assert abs(got[k] - want) <= 1e-14 * scale, (name, omega[k] * tau)
+
+
+def test_gamma_rejects_unknown_variant():
     g = InterferometerGeometry(0.2, 3.0)
-    cut = CutoffSet(omega_uv=15.0)
-    a = gamma_dressed(g, cut).value
-    b = gamma_variant(g, cut, parts=("sub", "hard"), lo=0.0).value
-    assert a == b
+    with pytest.raises(ValueError, match="nope"):
+        gamma(g, CutoffSet(omega_uv=15.0), "nope")
 
 
 def test_variants_match_independent_closed_forms_at_wide_band():
@@ -205,10 +240,10 @@ def test_full_requires_ir_cutoff():
     g = InterferometerGeometry(0.2, 3.0)
     cut = CutoffSet(omega_uv=15.0, lambda_ir=0.0)
     with pytest.raises(IRDivergenceError):
-        gamma_full(g, cut)
+        gamma(g, cut, "full")
     # but a motionless particle decoheres nothing, cutoff or not
     g0 = InterferometerGeometry(0.0, 3.0)
-    assert gamma_full(g0, cut).value == 0.0
+    assert gamma(g0, cut, "full").value == 0.0
 
 
 def test_full_with_cutoff_and_ln2_increment():
@@ -217,8 +252,8 @@ def test_full_with_cutoff_and_ln2_increment():
     ang = closed_forms(g, CutoffSet(omega_uv=15.0), e2).angular_exact
     b_want = e2 * ang / (32.0 * math.pi**3)
     lam = 1e-5
-    g1 = gamma_full(g, CutoffSet(omega_uv=15.0, lambda_ir=lam)).value
-    g2 = gamma_full(g, CutoffSet(omega_uv=15.0, lambda_ir=lam / 2.0)).value
+    g1 = gamma(g, CutoffSet(omega_uv=15.0, lambda_ir=lam), "full").value
+    g2 = gamma(g, CutoffSet(omega_uv=15.0, lambda_ir=lam / 2.0), "full").value
     assert g2 - g1 == pytest.approx(b_want * math.log(2.0), rel=1e-6, abs=0)
 
 
@@ -248,10 +283,10 @@ def test_finite_temperature_monotone_and_zero_limit():
     g = InterferometerGeometry(0.2, 3.0)
     vals = []
     for beta in (5.0, 50.0, 500.0):
-        vals.append(gamma_dressed(g, CutoffSet(omega_uv=15.0, beta=beta)).value)
+        vals.append(gamma(g, CutoffSet(omega_uv=15.0, beta=beta), "dressed").value)
     assert vals[0] >= vals[1] >= vals[2]
-    cold = gamma_dressed(g, CutoffSet(omega_uv=15.0, beta=1e7)).value
-    zero = gamma_dressed(g, CutoffSet(omega_uv=15.0)).value
+    cold = gamma(g, CutoffSet(omega_uv=15.0, beta=1e7), "dressed").value
+    zero = gamma(g, CutoffSet(omega_uv=15.0), "dressed").value
     assert cold == pytest.approx(zero, rel=1e-6, abs=0)
     assert vals[0] > zero
 
@@ -264,8 +299,8 @@ def test_nonnegativity_random_configurations():
         uv = float(10.0 ** rng.uniform(-1, 2))
         g = InterferometerGeometry(l, tau)
         cut = CutoffSet(omega_uv=uv)
-        for fn in (gamma_dressed, gamma_sub, gamma_hard):
-            assert fn(g, cut, FAST).value >= -1e-15
+        for variant in ("dressed", "sub", "hard"):
+            assert gamma(g, cut, variant, FAST).value >= -1e-15
 
 
 def test_report_assembly():
@@ -330,5 +365,5 @@ def test_kernel_route_matches_scalar_route():
     direct = sphere_integrate(outer, spec).value * E2_ELECTRON / (
         4.0 * (2.0 * math.pi) ** 3
     )
-    engine = gamma_dressed(g, cut, spec).value
+    engine = gamma(g, cut, "dressed", spec).value
     assert direct == pytest.approx(engine, rel=1e-6, abs=0)
