@@ -175,15 +175,14 @@ def _validate(cfg: dict):
         if sweep["scale"] not in ("linear", "log"):
             raise ConfigError("sweep.scale", "must be 'linear' or 'log'")
         pts = sweep["points"]
-        if not isinstance(pts, int) or pts < 0:
+        if not isinstance(pts, int) or isinstance(pts, bool) or pts < 0:
             raise ConfigError("sweep.points", "must be a non-negative integer")
         param = sweep["parameter"]
         if not isinstance(param, str) or param not in _SWEEPABLE:
             raise ConfigError("sweep.parameter", f"not a sweepable number: {param!r}")
-        start = _require_number(cfg, "sweep.start")
-        _require_number(cfg, "sweep.stop")
-        if sweep["scale"] == "log" and start <= 0:
-            raise ConfigError("sweep.start", "log scale requires start > 0")
+        for key in ("sweep.start", "sweep.stop"):
+            if _require_number(cfg, key) <= 0 and sweep["scale"] == "log":
+                raise ConfigError(key, "log scale requires a value > 0")
 
 
 def load_config(path: str | None, environ=None) -> dict:

@@ -2,7 +2,10 @@ import csv
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -110,6 +113,19 @@ def test_nonfinite_numbers_rejected(tmp_path, capsys, key, raw, source):
 )
 def test_sweep_bounds_must_be_finite_numbers(tmp_path, key, value):
     cfg = _sweep_cfg()
+    cfg["sweep"][key] = value
+    path = write_config(tmp_path, cfg)
+    with pytest.raises(cli.ConfigError, match=f"'sweep.{key}'"):
+        cli.load_config(path, environ={})
+    assert cli.main(["sweep", "--config", path, "--out", str(tmp_path / "x.csv")], environ={}) == 1
+
+
+@pytest.mark.parametrize(
+    "key, value", [("points", True), ("points", False), ("stop", -0.5), ("stop", 0.0), ("start", 0.0)]
+)
+def test_sweep_rejects_bool_points_and_non_positive_log_bounds(tmp_path, key, value):
+    # a JSON true is an int to Python; a log sweep ending at stop <= 0 gave rows of NaN
+    cfg = _sweep_cfg(start=0.1)
     cfg["sweep"][key] = value
     path = write_config(tmp_path, cfg)
     with pytest.raises(cli.ConfigError, match=f"'sweep.{key}'"):
@@ -313,3 +329,38 @@ def test_estimate_slit_with_mirror(tmp_path, capsys):
     assert payload["mirror"]["vdw_regime"] == "far"
     assert payload["mirror"]["vdw_potential"] < 0
     assert payload["mirror"]["rayleigh_rate"] > 0
+
+
+_WITHOUT_SCIPY = """
+import sys
+
+from softdeco import cli
+
+assert "scipy" not in sys.modules, "import softdeco.cli loaded scipy"
+sys.modules["scipy"] = None  # from here on, any import of scipy raises ImportError
+configs, out = sys.argv[1], sys.argv[2]
+for argv in (
+    ["gamma", "--config", configs + "/default.json", "--out", out + "/gamma.json"],
+    ["check", "--config", configs + "/default.json"],
+    ["sweep", "--config", configs + "/default.json", "--out", out + "/sweep.csv"],
+    ["estimate-slit", "--config", configs + "/slit.json", "--out", out + "/slit.json"],
+):
+    code = cli.main(argv, environ={})
+    assert code == 0, (argv, code)
+"""
+
+
+def test_cli_runs_without_scipy(tmp_path):
+    # softdeco needs only numpy at run time; scipy is a reference for the tests
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _WITHOUT_SCIPY, str(root / "configs"), str(tmp_path)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "FAIL" not in proc.stdout
