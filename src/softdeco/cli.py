@@ -236,8 +236,8 @@ def _fmt(x) -> str:
     return f"{x:.11e}"
 
 
-def _compute_point(cfg):
-    report = decoherence.decoherence_report(*_point(cfg))
+def _compute_point(cfg, passes=None):
+    report = decoherence.decoherence_report(*_point(cfg), passes=passes)
     return report, whichpath.summarize(max(report.gamma_dressed, 0.0))
 
 
@@ -295,16 +295,16 @@ def _sweep_values(sweep):
     return np.linspace(sweep["start"], sweep["stop"], n)
 
 
-def _sweep_row(cfg, param, value):
-    point_cfg = copy.deepcopy(cfg)
+def _sweep_row(cfg, param, value, passes):
+    # a copy of the swept block only: the row reads the other blocks of cfg
     block, key = param.split(".")
-    point_cfg[block][key] = float(value)
+    point_cfg = {**cfg, block: {**cfg[block], key: float(value)}}
     row = {col: "" for col in CSV_COLUMNS}
     row["sweep_param"] = param
     row["value"] = _fmt(float(value))
     try:
         _validate(point_cfg)
-        report, summary = _compute_point(point_cfg)
+        report, summary = _compute_point(point_cfg, passes)
         cells = {
             "gamma_full": report.gamma_full,
             "gamma_dressed": report.gamma_dressed,
@@ -335,7 +335,9 @@ def cmd_sweep(cfg, out_path) -> int:
     sweep = cfg.get("sweep")
     if sweep is None:
         raise ConfigError("sweep", "sweep block required for the sweep command")
-    rows = [_sweep_row(cfg, sweep["parameter"], v) for v in _sweep_values(sweep)]
+    # the angular and frequency passes of this sweep, shared by its rows
+    passes = {}
+    rows = [_sweep_row(cfg, sweep["parameter"], v, passes) for v in _sweep_values(sweep)]
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)

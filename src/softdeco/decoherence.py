@@ -17,6 +17,13 @@ a + b cos(x) + c sin(x): dd = (W, 0, 0), ss = (4x^2 W, 0, 0),
 DD = (8W, -8W, 0) and sD = (0, 0, 4xW), with W = [coth(beta w / 2)] / w,
 which the frequency rule integrates at a cost independent of Omega tau.
 
+The angular factor I_n depends only on v = l/tau and the frequency factor
+only on tau, the cutoffs and beta, so a batch of reports whose points share
+one of them need not compute it again: decoherence_report takes a dict,
+passes, owned by the caller for one batch (the CLI's sweep), in which it
+keeps each pass under what it depends on.  Nothing is kept at module level,
+so no result outlives the batch that made it.
+
 Hard is never a basis vector: c_sub and c_hard both grow like Omega tau, so
 a (sub, hard) basis would build dressed = ss + hh + 2 sh by cancelling terms
 of order (Omega tau)^2 down to one of order ln(Omega tau), losing about
@@ -168,11 +175,28 @@ def _gram_split_rows(omega, tau: float, beta: float | None):
     )
 
 
-def _gammas(g: InterferometerGeometry, cut: CutoffSet, spec, e2, requests) -> list:
+def _reuse(passes, key, compute):
+    """compute(), or the result stored under key in passes when one is given."""
+    if passes is None:
+        return compute()
+    if key not in passes:
+        passes[key] = compute()
+    return passes[key]
+
+
+def _gammas(
+    g: InterferometerGeometry, cut: CutoffSet, spec, e2, requests, passes=None
+) -> list:
     """Gamma for each (row weights, lo) request from one angular and one frequency pass.
 
     The frequency pass is split at every lo; the div row dd = 1/w needs lo > 0.
     Each frequency error is the contracted GL-24 sum minus the GL-12 one.
+
+    passes, a dict owned by the caller, keeps the angular pass under
+    ("angular", v, spec) and the frequency pass (the freq_integrate_rows
+    sums) under ("frequency", tau, cut, spec), for reuse by later calls.
+    The frequency key holds only for callers whose requests follow from cut,
+    as decoherence_report's do.
     """
     if g.v == 0.0:
         return [QuadratureResult(0.0, 0.0, True)] * len(requests)
@@ -182,14 +206,18 @@ def _gammas(g: InterferometerGeometry, cut: CutoffSet, spec, e2, requests) -> li
             "difference scales as 1/omega, so the frequency integral diverges "
             "like ln(1/lambda) as lambda -> 0"
         )
-    ang = angular_integral(g, spec)
+    ang = _reuse(passes, ("angular", g.v, spec), lambda: angular_integral(g, spec))
     breaks = np.append(np.unique([lo for _, lo in requests]), cut.omega_uv)
-    rows = freq_integrate_rows(
-        lambda w: _gram_rows(w, g.tau, cut.beta),
-        breaks,
-        g.tau,
-        spec,
-        split=lambda w: _gram_split_rows(w, g.tau, cut.beta),
+    rows = _reuse(
+        passes,
+        ("frequency", g.tau, cut, spec),
+        lambda: freq_integrate_rows(
+            lambda w: _gram_rows(w, g.tau, cut.beta),
+            breaks,
+            g.tau,
+            spec,
+            split=lambda w: _gram_split_rows(w, g.tau, cut.beta),
+        ),
     )
     # sums over [breaks[k], omega_uv]: the segments added from the top down
     coarse, fine = (np.cumsum(s[::-1], axis=0)[::-1] for s in rows)
@@ -336,15 +364,19 @@ def decoherence_report(
     cut: CutoffSet,
     spec: QuadratureSpec = QuadratureSpec(),
     e2: float = E2_ELECTRON,
+    *,
+    passes: dict | None = None,
 ) -> DecoherenceReport:
     """Compute every functional plus closed forms.
 
     The undressed value is included when lambda_ir > 0; with lambda_ir = 0 it
-    is None rather than divergent.
+    is None rather than divergent.  passes, when given, is a dict shared by
+    the reports of one batch, which then reuse each other's angular and
+    frequency passes (see _gammas); the results are the same bits as without.
     """
     names = [n for n in ("full", "dressed", "sub", "hard") if cut.lambda_ir > 0 or n != "full"]
     requests = [_request(name, cut) for name in names]
-    res = dict(zip(names, _gammas(g, cut, spec, e2, requests)))
+    res = dict(zip(names, _gammas(g, cut, spec, e2, requests, passes)))
     return DecoherenceReport(
         gamma_full=res["full"].value if "full" in res else None,
         gamma_dressed=res["dressed"].value,

@@ -251,13 +251,16 @@ class Worldline:
             et, ex, ey, ez = a.end_event
             start = b.start_event
             st, sx, sy, sz = start
-            gap = max(abs(et - st), abs(ex - sx), abs(ey - sy), abs(ez - sz))
-            # the scale max(1, |start|) is at least 1, so it is needed only
-            # when the gap exceeds the bare tolerance
-            if not gap <= _CONTINUITY_TOL and not gap <= _CONTINUITY_TOL * max(
-                1.0, start.norm()
-            ):
-                raise ValueError("segments are not continuous")
+            dt, dx, dy, dz = abs(et - st), abs(ex - sx), abs(ey - sy), abs(ez - sz)
+            # each component is compared on its own, so that a NaN anywhere
+            # fails (the builtin max drops a NaN that is not its first
+            # argument); the scale max(1, |start|) is at least 1, so it is
+            # needed only when a gap exceeds the bare tolerance
+            tol = _CONTINUITY_TOL
+            if not (dt <= tol and dx <= tol and dy <= tol and dz <= tol):
+                tol *= max(1.0, start.norm())
+                if not (dt <= tol and dx <= tol and dy <= tol and dz <= tol):
+                    raise ValueError("segments are not continuous")
             kinks.append((start, a.velocity, b.velocity))
         object.__setattr__(self, "segments", segments)
         object.__setattr__(self, "s_i", float(s_i))

@@ -4,6 +4,12 @@ Two integrators carry all of the numerical work: a product Gauss-Legendre x
 trapezoid rule on the unit sphere, and a Gauss-Legendre rule on frequency
 intervals.  Both report an error gauge obtained by doubling the resolution.
 
+The sphere rule calls its integrand on blocks of _SPHERE_BLOCK = 4096 nodes.
+A whole fine grid (96 x 192 nodes) would make every temporary of the
+integrand 147 KB, above glibc's 128 KB mmap threshold, so each one would be
+mapped afresh and page-faulted; a 32 KB block reuses the heap.  The weighted
+values are still summed as one array, so the result does not move a bit.
+
 The frequency rule has two regimes.  Over the first 64 periods 2*pi/tau it
 uses panels aligned to the period, so its cost there is fixed.  Above them,
 a stack of rows may be given in the split form a + b cos(w tau) +
@@ -53,6 +59,7 @@ E2_ELECTRON = 4.0 * math.pi * FINE_STRUCTURE_ALPHA
 
 _GL_NODES = 12  # base Gauss-Legendre order per frequency panel
 _PANEL_CHUNK = 8192  # panels per vectorized block
+_SPHERE_BLOCK = 4096  # sphere nodes per integrand call
 _TAIL_PERIODS = 64  # oscillation periods panelled before the Filon tail takes over
 _TAIL_GROWTH = math.sqrt(2.0)  # width ratio of consecutive tail panels
 _MILLER_START = 64  # first order of the backward recurrence for j_k, kappa < 24
@@ -167,15 +174,25 @@ def _sphere_grid(n_theta: int, n_phi: int):
 
 
 def _sphere_pass(f, n_theta, n_phi):
+    """np.sum(w * f(nx, ny, nz)), with f called on blocks of _SPHERE_BLOCK nodes.
+
+    The temporaries of f stay block-sized, while the weighted values are
+    summed as one array, in the same pairwise order as the unblocked sum.
+    """
     nx, ny, nz, w = _sphere_grid(n_theta, n_phi)
-    vals = np.asarray(f(nx, ny, nz), dtype=float)
-    return float(np.sum(w * vals))
+    vals = np.empty_like(w)
+    for start in range(0, w.size, _SPHERE_BLOCK):
+        block = slice(start, start + _SPHERE_BLOCK)
+        vals[block] = f(nx[block], ny[block], nz[block])
+    vals *= w
+    return float(np.sum(vals))
 
 
 def sphere_integrate(f, spec: QuadratureSpec = QuadratureSpec()) -> QuadratureResult:
     """Integrate f(nx, ny, nz) over the unit sphere.
 
-    f must accept numpy arrays of direction components.  Gauss-Legendre in
+    f must accept numpy arrays of direction components and act on them
+    elementwise: it is called once per block of nodes.  Gauss-Legendre in
     cos(theta) and periodic trapezoid in phi converge spectrally for smooth
     integrands; the error gauge compares against a doubled grid.
     """

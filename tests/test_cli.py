@@ -1,3 +1,4 @@
+import copy
 import csv
 import io
 import json
@@ -10,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from softdeco import cli
+from softdeco import cli, decoherence
 
 
 def write_config(tmp_path, cfg, name="cfg.json"):
@@ -248,6 +249,107 @@ def test_sweep_status_with_comma_stays_one_cell(tmp_path):
     assert rows[1][-1] == "error: config error at 'geometry.l': must be >= 0.0, got -1.0"
     assert rows[2][-1] == "ok"
     assert text.splitlines()[2] == ",".join(rows[2])
+
+
+# a small point with an IR cutoff, so that every row reports all four
+# variants, and with Omega tau above the panelled periods, so that the
+# frequency pass runs both of its rules
+_REUSE_POINT = {
+    "geometry": {"l": 0.5, "tau": 2.0},
+    "cutoffs": {"lambda_ir": 1e-3, "omega_uv": 300.0, "beta": None},
+    "quadrature": {"n_theta": 16, "n_phi": 32},
+}
+
+
+def _reuse_sweep(tmp_path, parameter, start, stop, points=3):
+    cfg = json.loads(json.dumps(_REUSE_POINT))
+    cfg["sweep"] = {
+        "parameter": parameter,
+        "start": start,
+        "stop": stop,
+        "points": points,
+        "scale": "linear",
+    }
+    return write_config(tmp_path, cfg, name=f"{parameter}.json")
+
+
+def _sweep_bytes(path, out):
+    cli.main(["sweep", "--config", path, "--out", str(out)], environ={})
+    return out.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "parameter, start, stop",
+    [
+        ("geometry.l", 0.2, 1.4),
+        ("geometry.tau", 2.0, 6.0),
+        ("cutoffs.omega_uv", 50.0, 400.0),
+        ("cutoffs.lambda_ir", 1e-4, 1e-2),
+        ("cutoffs.beta", 0.5, 4.0),
+        ("quadrature.n_theta", 8.0, 24.0),
+        ("quadrature.panels_per_period", 4.0, 8.0),
+    ],
+)
+def test_sweep_reuse_matches_fresh_reports(tmp_path, monkeypatch, parameter, start, stop):
+    path = _reuse_sweep(tmp_path, parameter, start, stop)
+    report = decoherence.decoherence_report
+    reports = {"reused": [], "fresh": []}
+
+    def reused_report(*args, passes):
+        reports["reused"].append(report(*args, passes=passes))
+        return reports["reused"][-1]
+
+    def fresh_report(*args, passes):
+        # each row computed on its own, by a report handed no passes to reuse
+        reports["fresh"].append(report(*args))
+        return reports["fresh"][-1]
+
+    monkeypatch.setattr(decoherence, "decoherence_report", reused_report)
+    reused = _sweep_bytes(path, tmp_path / "reused.csv")
+    monkeypatch.setattr(decoherence, "decoherence_report", fresh_report)
+    fresh = _sweep_bytes(path, tmp_path / "fresh.csv")
+    assert reused == fresh
+    # to the last bit, which the 12 digits of the CSV may not show
+    assert reports["reused"] == reports["fresh"]
+    assert len({repr(r) for r in reports["fresh"]}) == 3
+
+
+@pytest.mark.parametrize(
+    "parameter, start, stop, angular, frequency",
+    [
+        ("geometry.l", 0.2, 1.4, 4, 1),
+        ("cutoffs.omega_uv", 50.0, 400.0, 1, 4),
+        ("charge.Q", 1.0, 2.0, 1, 1),
+    ],
+)
+def test_sweep_computes_each_pass_once(
+    tmp_path, pass_counts, parameter, start, stop, angular, frequency
+):
+    path = _reuse_sweep(tmp_path, parameter, start, stop, points=4)
+    _sweep_bytes(path, tmp_path / "a.csv")
+    want = {"sphere_integrate": angular, "freq_integrate": 0, "freq_integrate_rows": frequency}
+    assert pass_counts == want
+    # a second sweep in the same process reuses nothing from the first
+    _sweep_bytes(path, tmp_path / "b.csv")
+    assert pass_counts == {name: 2 * n for name, n in want.items()}
+
+
+def test_repeated_gamma_runs_every_pass(tmp_path, pass_counts):
+    path = write_config(tmp_path, _REUSE_POINT)
+    out = str(tmp_path / "gamma.json")
+    for _ in range(2):
+        assert cli.main(["gamma", "--config", path, "--out", out], environ={}) == 0
+    assert pass_counts == {"sphere_integrate": 2, "freq_integrate": 0, "freq_integrate_rows": 2}
+
+
+def test_sweep_leaves_the_config_unchanged(tmp_path):
+    # each row copies only the swept block; the row at l = -1 fails validation
+    cfg = cli.load_config(_reuse_sweep(tmp_path, "geometry.l", -1.0, 1.4), environ={})
+    before = copy.deepcopy(cfg)
+    cli.cmd_sweep(cfg, str(tmp_path / "sweep.csv"))
+    assert cfg == before
+    statuses = [row[-1] for row in csv.reader(io.StringIO((tmp_path / "sweep.csv").read_text()))]
+    assert statuses[1].startswith("error") and statuses[2:] == ["ok", "ok"]
 
 
 def test_sweep_requires_block(tmp_path):

@@ -218,7 +218,7 @@ def test_dipole_coefficient_identities():
         total = c_div + c_sub + c_hard
         want = 1j * (1.0 - 2.0 * cmath.exp(1j * wt))
         assert total == pytest.approx(want, abs=1e-14)
-        assert abs(total) ** 2 == pytest.approx(5.0 - 4.0 * math.cos(wt), rel=1e-12)
+        assert abs(total) ** 2 == pytest.approx(5.0 - 4.0 * math.cos(wt), rel=1e-12, abs=0)
         # 8 (1 - cos wt) written as 16 sin^2(wt/2) to stay accurate at small wt
         assert abs(c_sub + c_hard) ** 2 == pytest.approx(
             16.0 * math.sin(0.5 * wt) ** 2, rel=1e-10, abs=1e-25

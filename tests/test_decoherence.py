@@ -207,33 +207,18 @@ def test_variants_match_independent_closed_forms_at_wide_band():
             assert got == pytest.approx(pref * f, rel=1e-10, abs=0), (wt, name)
 
 
-def _count_passes(monkeypatch):
-    calls = {"sphere_integrate": 0, "freq_integrate": 0, "freq_integrate_rows": 0}
-    for name in calls:
-        original = getattr(decoherence, name)
-
-        def counted(*args, _name=name, _original=original, **kwargs):
-            calls[_name] += 1
-            return _original(*args, **kwargs)
-
-        monkeypatch.setattr(decoherence, name, counted)
-    return calls
-
-
-def test_one_angular_and_one_frequency_pass_per_report(monkeypatch):
-    calls = _count_passes(monkeypatch)
+def test_one_angular_and_one_frequency_pass_per_report(pass_counts):
     g = InterferometerGeometry(0.2, 3.0)
     decoherence_report(g, CutoffSet(omega_uv=15.0, lambda_ir=1e-4), FAST)
-    assert calls == {"sphere_integrate": 1, "freq_integrate": 0, "freq_integrate_rows": 1}
+    assert pass_counts == {"sphere_integrate": 1, "freq_integrate": 0, "freq_integrate_rows": 1}
 
 
-def test_one_angular_and_one_frequency_pass_per_divergence_fit(monkeypatch):
-    calls = _count_passes(monkeypatch)
+def test_one_angular_and_one_frequency_pass_per_divergence_fit(pass_counts):
     g = InterferometerGeometry(0.2, 3.0)
     cut = CutoffSet(omega_uv=15.0, lambda_ir=1e-4)
     for variant in ("full", "dressed"):
         divergence_coefficient(g, cut, FAST, variant=variant)
-    assert calls == {"sphere_integrate": 2, "freq_integrate": 0, "freq_integrate_rows": 2}
+    assert pass_counts == {"sphere_integrate": 2, "freq_integrate": 0, "freq_integrate_rows": 2}
 
 
 def test_full_requires_ir_cutoff():

@@ -308,3 +308,12 @@ def test_worldline_continuity_scales_with_the_event(gap, ok):
     else:
         with pytest.raises(ValueError):
             Worldline([s1, s2])
+
+
+@pytest.mark.parametrize("component", ["t", "x", "y", "z"])
+def test_worldline_rejects_nan_at_a_junction(component):
+    u = four_velocity([0.0, 0.0, 0.0])
+    s1 = WorldlineSegment(FourVector.zero(), u, 1.0)
+    start = s1.end_event._replace(**{component: math.nan})
+    with pytest.raises(ValueError, match="not continuous"):
+        Worldline([s1, WorldlineSegment(start, u, 1.0)])

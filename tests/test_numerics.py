@@ -17,7 +17,13 @@ from softdeco import (
     sphere_integrate,
 )
 from softdeco.decoherence import _gram_rows, _gram_split_rows
-from softdeco.numerics import _TAIL_PERIODS, _sphere_grid, _spherical_jn, freq_integrate_rows
+from softdeco.numerics import (
+    _SPHERE_BLOCK,
+    _TAIL_PERIODS,
+    _sphere_grid,
+    _spherical_jn,
+    freq_integrate_rows,
+)
 
 mpmath.mp.dps = 30
 
@@ -136,6 +142,27 @@ def test_sphere_polynomial_exactness():
     # Int nz^2 dS^2 = 4 pi / 3
     r = sphere_integrate(lambda nx, ny, nz: nz**2)
     assert r.value == pytest.approx(4.0 * math.pi / 3.0, rel=1e-13, abs=0)
+
+
+def test_sphere_blocks_sum_like_one_array():
+    # 50 x 98 and 100 x 196 nodes: neither grid is a whole number of blocks
+    spec = QuadratureSpec(n_theta=50, n_phi=98)
+    assert (50 * 98) % _SPHERE_BLOCK and (100 * 196) % _SPHERE_BLOCK
+    calls = []
+
+    def f(nx, ny, nz):
+        calls.append(nx.size)
+        return 2.0 / ((1.0 - 0.7 * ny) * (1.0 - 0.7 * nx)) - 0.51 / (1.0 - 0.7 * nz) ** 2
+
+    def unblocked(n_theta, n_phi):
+        nx, ny, nz, w = _sphere_grid(n_theta, n_phi)
+        return float(np.sum(w * f(nx, ny, nz)))
+
+    r = sphere_integrate(f, spec)
+    assert max(calls) == _SPHERE_BLOCK and sum(calls) == 50 * 98 + 100 * 196
+    coarse, fine = unblocked(50, 98), unblocked(100, 196)
+    assert r.value == fine
+    assert r.error == abs(fine - coarse)
 
 
 @given(st.floats(0.05, 0.95))

@@ -24,8 +24,8 @@ def test_rejects_negative():
 
 def test_frozen_example():
     s = summarize(0.05)
-    assert s.overlap == pytest.approx(math.exp(-0.05), rel=1e-15)
-    assert s.distinguishability == pytest.approx(0.3084843301758, rel=1e-10)
+    assert s.overlap == pytest.approx(math.exp(-0.05), rel=1e-15, abs=0)
+    assert s.distinguishability == pytest.approx(0.3084843301758, rel=1e-10, abs=0)
     assert s.small_gamma_valid
 
 
@@ -72,4 +72,4 @@ def test_small_gamma_distinguishability_accuracy():
     # expm1 formulation keeps D accurate where 1 - exp(-2G) underflows badly
     g = 1e-12
     s = summarize(g)
-    assert s.distinguishability == pytest.approx(math.sqrt(2.0 * g), rel=1e-9)
+    assert s.distinguishability == pytest.approx(math.sqrt(2.0 * g), rel=1e-9, abs=0)
