@@ -7,7 +7,6 @@ through the same fit and comes out flat.
 """
 
 import argparse
-import math
 
 from softdeco import (
     CutoffSet,
@@ -29,7 +28,7 @@ def main():
 
     g = InterferometerGeometry(args.l, args.tau)
     cut = CutoffSet(omega_uv=args.omega_uv, lambda_ir=args.lambda_top)
-    want = E2_ELECTRON * closed_forms(g, cut).angular_exact / (32.0 * math.pi**3)
+    want = closed_forms(g, cut).ir_slope
 
     full = divergence_coefficient(g, cut, variant="full", n_points=args.rungs)
     dressed = divergence_coefficient(g, cut, variant="dressed", n_points=args.rungs)

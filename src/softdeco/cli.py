@@ -347,14 +347,22 @@ def cmd_sweep(cfg, out_path) -> int:
     return 2 if bad else 0
 
 
-def cmd_estimate_slit(cfg, out_path=None) -> int:
-    slit_cfg = cfg.get("slit")
-    if slit_cfg is None:
-        raise ConfigError("slit", "slit block required for estimate-slit")
+def _experiment_value(cfg, block, cls):
+    """Build an experiment value from a config block whose keys are all numbers."""
+    if not isinstance(cfg[block], dict):
+        raise ConfigError(block, "must be an object")
+    for key in cfg[block]:
+        _require_number(cfg, f"{block}.{key}", allow_none=key == "ell_o")
     try:
-        slit = experiment.SlitGeometry(**slit_cfg)
+        return cls(**cfg[block])
     except (TypeError, ValueError) as exc:
-        raise ConfigError("slit", str(exc))
+        raise ConfigError(block, str(exc))
+
+
+def cmd_estimate_slit(cfg, out_path=None) -> int:
+    if cfg.get("slit") is None:
+        raise ConfigError("slit", "slit block required for estimate-slit")
+    slit = _experiment_value(cfg, "slit", experiment.SlitGeometry)
     printed, flagged, ratio = experiment.gamma_hard_2slit(slit)
     payload = {
         "gamma_dressed_2slit": experiment.gamma_dressed_2slit(slit),
@@ -364,12 +372,8 @@ def cmd_estimate_slit(cfg, out_path=None) -> int:
         "acceleration_A_center": experiment.slit_acceleration(slit, 0.0, "A"),
         "acceleration_B_center": experiment.slit_acceleration(slit, 0.0, "B"),
     }
-    mirror_cfg = cfg.get("mirror")
-    if mirror_cfg is not None:
-        try:
-            mirror = experiment.ParticleMirror(**mirror_cfg)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError("mirror", str(exc))
+    if cfg.get("mirror") is not None:
+        mirror = _experiment_value(cfg, "mirror", experiment.ParticleMirror)
         regime = "far" if mirror.Z_o > mirror.r_o else "near"
         payload["mirror"] = {
             "vdw_potential": experiment.vdw_potential(mirror, regime),
@@ -521,9 +525,7 @@ def _check_divergence_full(cfg, rng):
     if geom.v == 0:
         return True, "trivial at v = 0"
     fit = decoherence.divergence_coefficient(geom, cut, spec, e2, variant="full")
-    want = e2 * decoherence.closed_forms(geom, cut, e2).angular_exact / (
-        32.0 * math.pi**3
-    )
+    want = decoherence.closed_forms(geom, cut, e2).ir_slope
     dev = abs(fit.coefficient - want) / want
     return dev <= 1e-3 and fit.ok, f"relative deviation {dev:.3e}, R^2 = {fit.r_squared}"
 

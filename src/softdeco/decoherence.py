@@ -273,14 +273,8 @@ def _atanh_over_x_minus_1(x: float) -> float:
 class ClosedForms:
     """Closed-form values assembled from the angular and frequency identities."""
 
-    v12: float
-    angular_exact: float  # I_n = 8 pi [atanh(v12)/v12 - 1]
-    angular_small_v: float  # (16 pi / 3) v^2
-    freq_dressed_exact: float  # 2 [gamma_EM + ln(Omega tau) - Ci(Omega tau)]
-    freq_dressed_asymptotic: float  # 2 ln(Omega tau)
-    freq_sub: float  # Omega^2 tau^2 / 2
-    freq_hard_exact: float
-    freq_hard_asymptotic: float
+    angular_exact: float  # I_n = 8 pi [atanh(v12)/v12 - 1], v12 = relative arm speed
+    ir_slope: float  # e^2 I_n / (32 pi^3), the ln(1/lambda) coefficient of full
     dressed: float
     dressed_asymptotic: float
     sub: float
@@ -306,7 +300,6 @@ def closed_forms(
     # relative speed of the arms, sqrt(1 - 1/(V1.V2)^2) with V1.V2 = 1/(1 - v^2)
     v12 = v * math.sqrt(2.0 - v * v)
     ang_exact = 8.0 * math.pi * _atanh_over_x_minus_1(v12)
-    ang_small = (16.0 * math.pi / 3.0) * v * v
 
     wt = cut.omega_uv * g.tau
     if wt > 0:
@@ -322,14 +315,8 @@ def closed_forms(
     pref = e2 / (2.0 * math.pi) ** 3
     small_pref = 2.0 * e2 * v * v / (3.0 * math.pi**2)
     return ClosedForms(
-        v12=v12,
         angular_exact=ang_exact,
-        angular_small_v=ang_small,
-        freq_dressed_exact=freq_dressed,
-        freq_dressed_asymptotic=freq_dressed_asym,
-        freq_sub=freq_sub,
-        freq_hard_exact=freq_hard,
-        freq_hard_asymptotic=freq_hard_asym,
+        ir_slope=e2 * ang_exact / (32.0 * math.pi**3),
         dressed=pref * freq_dressed * ang_exact,
         dressed_asymptotic=small_pref * freq_dressed_asym,
         sub=pref * freq_sub * ang_exact,
@@ -409,8 +396,9 @@ def divergence_coefficient(
     """Fit the ln(1/lambda) coefficient of a functional over a geometric ladder.
 
     The ladder descends by factors of two from cut.lambda_ir.  For the
-    undressed functional the coefficient is e^2 I_n / (32 pi^3); for the
-    dressed functional it is zero and the fit quality flag is meaningless.
+    undressed functional the coefficient is e^2 I_n / (32 pi^3), which
+    closed_forms gives as ir_slope; for the dressed functional it is zero
+    and the fit quality flag is meaningless.
     """
     if cut.lambda_ir <= 0:
         raise ValueError("divergence_coefficient needs lambda_ir > 0")

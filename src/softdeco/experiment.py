@@ -1,18 +1,21 @@
 """Desk-scale estimators: two-slit electron predictions and the
 neutral-particle/mirror formula set.
 
-These are order-of-magnitude formulas implemented verbatim, with explicit
-regime flags.  The hard-sector two-slit estimate is returned both as
-printed (no velocity factor) and with the (v/c)^2 factor of the
-interferometer result restored.
+The two-slit Gamma estimates are asymptotic closed_forms of the
+interferometer at v = v/c, Omega tau = L_o/a_o and e^2 = 4 pi alpha Q^2;
+the hard one is returned as printed (no velocity factor) and with the
+(v/c)^2 of the interferometer result restored.  The mirror formulas are
+order-of-magnitude forms with explicit regime flags.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
+from .decoherence import ClosedForms, CutoffSet, closed_forms
+from .kinematics import InterferometerGeometry
 from .numerics import FINE_STRUCTURE_ALPHA, bessel_k2
 
 __all__ = [
@@ -25,6 +28,16 @@ __all__ = [
     "surface_coupling",
     "rayleigh_rate",
 ]
+
+
+def _require_fields(obj, positive):
+    """Reject NaN and +-inf in every field, and <= 0 in those named; None passes."""
+    for f in fields(obj):
+        val = getattr(obj, f.name)
+        if val is not None and not math.isfinite(val):
+            raise ValueError(f"{f.name} must be finite, got {val}")
+        if val is not None and f.name in positive and not val > 0:
+            raise ValueError(f"{f.name} must be > 0, got {val}")
 
 
 @dataclass(frozen=True)
@@ -42,12 +55,10 @@ class SlitGeometry:
     ell_o: float | None = None  # deflection length scale; defaults to L_o
 
     def __post_init__(self):
-        for name in ("a_o", "b_o", "d_o", "L_o"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be > 0")
+        _require_fields(self, positive=("a_o", "b_o", "d_o", "L_o", "alpha", "ell_o"))
         if not 0 < self.v_over_c < 1:
             raise ValueError("v_over_c must lie in (0, 1)")
-        if self.L_o <= self.a_o:
+        if not self.L_o > self.a_o:
             raise ValueError("L_o must exceed a_o")
 
     @property
@@ -68,11 +79,8 @@ class ParticleMirror:
     U_o: float = 0.0
 
     def __post_init__(self):
-        if self.r_o <= 0:
-            raise ValueError("r_o must be > 0")
-        if self.Z_o <= 0:
-            raise ValueError("Z_o must be > 0")
-        if self.epsilon <= 1:
+        _require_fields(self, positive=("r_o", "Z_o", "q"))
+        if not self.epsilon > 1:
             raise ValueError("epsilon must be > 1")
 
 
@@ -88,14 +96,18 @@ def slit_acceleration(s: SlitGeometry, z_f: float, path: str) -> float:
     return (v * v / s.deflection_scale) * (z_f + sign * 0.5 * s.d_o)
 
 
+def _slit_closed_forms(s: SlitGeometry) -> ClosedForms:
+    """closed_forms at tau = 1, so v = v/c and Omega tau = L_o/a_o exactly."""
+    return closed_forms(
+        InterferometerGeometry(s.v_over_c, 1.0),
+        CutoffSet(omega_uv=s.L_o / s.a_o),
+        4.0 * math.pi * s.alpha * s.Q**2,
+    )
+
+
 def gamma_dressed_2slit(s: SlitGeometry) -> float:
     """Dressed decoherence estimate Q^2 (16 alpha / 3 pi) (v/c)^2 ln(L_o/a_o)."""
-    return (
-        s.Q**2
-        * (16.0 * s.alpha / (3.0 * math.pi))
-        * s.v_over_c**2
-        * math.log(s.L_o / s.a_o)
-    )
+    return _slit_closed_forms(s).dressed_asymptotic
 
 
 def gamma_hard_2slit(s: SlitGeometry):
@@ -106,11 +118,9 @@ def gamma_hard_2slit(s: SlitGeometry):
     reinstates the (v/c)^2 of the interferometer formula together with the
     halved coefficient, so printed/flagged = 2 (c/v)^2 identically.
     """
-    ratio_la = s.L_o / s.a_o
-    bracket = 2.0 * math.log(ratio_la) + 0.5 * ratio_la**2
-    printed = s.Q**2 * (8.0 * s.alpha / (3.0 * math.pi)) * bracket
-    flagged = s.Q**2 * (4.0 * s.alpha / (3.0 * math.pi)) * s.v_over_c**2 * bracket
-    return printed, flagged, printed / flagged
+    cf = _slit_closed_forms(s)
+    printed = cf.hard_asymptotic / s.v_over_c**2
+    return printed, cf.hard_halved, printed / cf.hard_halved
 
 
 def vdw_potential(p: ParticleMirror, regime: str) -> float:
@@ -149,7 +159,5 @@ def rayleigh_rate(p: ParticleMirror, q_mag: float) -> float:
     """Rayleigh scattering rate (8 pi / 3) ((eps - 1)/(eps + 2))^2 r_o^6 |q|^4."""
     if q_mag <= 0:
         raise ValueError("q_mag must be > 0")
-    if p.epsilon == -2:
-        raise ValueError("epsilon = -2 is singular")
     frac = (p.epsilon - 1.0) / (p.epsilon + 2.0)
     return (8.0 * math.pi / 3.0) * frac**2 * p.r_o**6 * q_mag**4

@@ -405,7 +405,7 @@ def test_estimate_slit(tmp_path, capsys):
     assert cli.main(["estimate-slit", "--config", path], environ={}) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["gamma_dressed_2slit"] == pytest.approx(1.1410110888e-5, rel=1e-9, abs=0)
-    assert payload["gamma_hard_printed_over_flagged"] == pytest.approx(2e4)
+    assert payload["gamma_hard_printed_over_flagged"] == pytest.approx(2e4, rel=1e-14, abs=0)
     assert "mirror" not in payload
 
 
@@ -431,6 +431,45 @@ def test_estimate_slit_with_mirror(tmp_path, capsys):
     assert payload["mirror"]["vdw_regime"] == "far"
     assert payload["mirror"]["vdw_potential"] < 0
     assert payload["mirror"]["rayleigh_rate"] > 0
+
+
+_SLIT_CFG = {
+    "slit": {"a_o": 1e-6, "b_o": 5e-7, "d_o": 2e-6, "L_o": 1e-2, "v_over_c": 0.01},
+    "mirror": {"r_o": 1.0, "Z_o": 5.0, "epsilon": 2.0, "q": 0.5},
+}
+
+
+@pytest.mark.parametrize(
+    "key, raw, where",
+    [
+        ("mirror.Z_o", "NaN", "'mirror.Z_o'"),
+        ("mirror.q", "-0.5", "'mirror'"),
+        ("slit.ell_o", "0", "'slit'"),
+        ("slit.L_o", "Infinity", "'slit.L_o'"),
+        ("mirror.epsilon", "Infinity", "'mirror.epsilon'"),
+        ("slit.ell_o", "NaN", "'slit.ell_o'"),
+        ("slit.Q", "true", "'slit.Q'"),
+    ],
+)
+def test_estimate_slit_rejects_bad_numbers(tmp_path, capsys, key, raw, where):
+    # these ended in a traceback, or printed Infinity/NaN and exited 0
+    block, name = key.split(".")
+    cfg = copy.deepcopy(_SLIT_CFG)
+    cfg[block][name] = "RAW"
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg).replace('"RAW"', raw))
+    assert cli.main(["estimate-slit", "--config", str(path)], environ={}) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"config error at {where}: ")
+
+
+def test_estimate_slit_accepts_null_ell_o(tmp_path, capsys):
+    cfg = copy.deepcopy(_SLIT_CFG)
+    cfg["slit"]["ell_o"] = None
+    path = write_config(tmp_path, cfg)
+    assert cli.main(["estimate-slit", "--config", path], environ={}) == 0
+    assert json.loads(capsys.readouterr().out)["acceleration_A_center"] == 1e-08
 
 
 _WITHOUT_SCIPY = """

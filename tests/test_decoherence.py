@@ -247,7 +247,9 @@ def test_divergence_fit_full():
     cut = CutoffSet(omega_uv=15.0, lambda_ir=1e-4)
     fit = divergence_coefficient(g, cut, variant="full")
     e2 = E2_ELECTRON
-    want = e2 * closed_forms(g, cut, e2).angular_exact / (32.0 * math.pi**3)
+    cf = closed_forms(g, cut, e2)
+    want = e2 * cf.angular_exact / (32.0 * math.pi**3)
+    assert cf.ir_slope == want
     assert fit.ok
     assert fit.coefficient == pytest.approx(want, rel=1e-3, abs=0)
 

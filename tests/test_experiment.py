@@ -44,11 +44,11 @@ def test_slit_acceleration_signs():
     s = _slit()
     a_plus = slit_acceleration(s, 0.0, "A")
     a_minus = slit_acceleration(s, 0.0, "B")
-    assert a_plus == pytest.approx(-a_minus)
-    assert a_plus == pytest.approx(s.v_over_c**2 / s.L_o * 0.5 * s.d_o)
+    assert a_plus == -a_minus
+    assert a_plus == pytest.approx(s.v_over_c**2 / s.L_o * 0.5 * s.d_o, rel=1e-15, abs=0)
     z = 3e-6
     assert slit_acceleration(s, z, "A") == pytest.approx(
-        s.v_over_c**2 / s.L_o * (z + 0.5 * s.d_o)
+        s.v_over_c**2 / s.L_o * (z + 0.5 * s.d_o), rel=1e-15, abs=0
     )
     with pytest.raises(ValueError):
         slit_acceleration(s, 0.0, "C")
@@ -65,7 +65,32 @@ def test_gamma_dressed_2slit_frozen():
 
 def test_gamma_dressed_2slit_charge_scaling():
     s1, s2 = _slit(Q=1.0), _slit(Q=2.0)
-    assert gamma_dressed_2slit(s2) == pytest.approx(4.0 * gamma_dressed_2slit(s1))
+    assert gamma_dressed_2slit(s2) == 4.0 * gamma_dressed_2slit(s1)
+
+
+def test_slit_values_pinned_at_config_geometry():
+    # configs/slit.json; estimate-slit prints these bits
+    s = _slit(Q=1.0)
+    assert gamma_dressed_2slit(s) == 1.1410110888279164e-05
+    assert gamma_hard_2slit(s) == (309709.3763938496, 15.485468819692482, 20000.0)
+
+
+@pytest.mark.parametrize("Q", [1.0, -1.0, 0.5, 3.0])
+@pytest.mark.parametrize("v", [1e-4, 0.01, 0.3, 0.9])
+@pytest.mark.parametrize("a_o, L_o", [(1e-6, 1e-2), (1e-3, 1e-2), (1.0, 1.5), (1e-9, 1e3)])
+def test_slit_values_match_printed_formulas(Q, v, a_o, L_o):
+    # the engine's asymptotic closed forms against the formulas as printed
+    s = _slit(a_o=a_o, L_o=L_o, v_over_c=v, Q=Q)
+    r = L_o / a_o
+    dressed = Q**2 * (16.0 * s.alpha / (3.0 * math.pi)) * v**2 * math.log(r)
+    bracket = 2.0 * math.log(r) + 0.5 * r**2
+    printed = Q**2 * (8.0 * s.alpha / (3.0 * math.pi)) * bracket
+    flagged = Q**2 * (4.0 * s.alpha / (3.0 * math.pi)) * v**2 * bracket
+    got_printed, got_flagged, ratio = gamma_hard_2slit(s)
+    assert gamma_dressed_2slit(s) == pytest.approx(dressed, rel=1e-14, abs=0)
+    assert got_printed == pytest.approx(printed, rel=1e-14, abs=0)
+    assert got_flagged == pytest.approx(flagged, rel=1e-14, abs=0)
+    assert ratio == pytest.approx(2.0 / v**2, rel=1e-14, abs=0)
 
 
 def test_gamma_hard_2slit_frozen_and_ratio():
@@ -76,7 +101,27 @@ def test_gamma_hard_2slit_frozen_and_ratio():
     assert printed == pytest.approx(0.33823454, rel=1e-6, abs=0)
     # restoring the velocity factor costs (v/c)^2 and a coefficient half
     assert ratio == pytest.approx(2.0 / s.v_over_c**2, rel=1e-14, abs=0)
-    assert flagged == pytest.approx(printed * s.v_over_c**2 / 2.0, rel=1e-12, abs=0)
+    assert flagged == pytest.approx(printed * s.v_over_c**2 / 2.0, rel=1e-15, abs=0)
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("a_o", math.nan),
+        ("L_o", math.inf),
+        ("v_over_c", math.nan),
+        ("Q", -math.inf),
+        ("alpha", 0.0),
+        ("alpha", math.nan),
+        ("ell_o", 0.0),
+        ("ell_o", -1.0),
+        ("ell_o", math.nan),
+        ("ell_o", math.inf),
+    ],
+)
+def test_slit_rejects_nonfinite_and_out_of_range(key, value):
+    with pytest.raises(ValueError, match=key):
+        _slit(**{key: value})
 
 
 def _mirror(**kw):
@@ -93,6 +138,26 @@ def test_mirror_validation():
         _mirror(Z_o=-1.0)
     with pytest.raises(ValueError):
         _mirror(epsilon=1.0)
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("Z_o", math.nan),
+        ("q", -0.5),
+        ("q", 0.0),
+        ("epsilon", math.inf),
+        ("epsilon", math.nan),
+        ("r_o", math.inf),
+        ("g_o", math.nan),
+        ("X_o", -math.inf),
+        ("U_o", math.nan),
+    ],
+)
+def test_mirror_rejects_nonfinite_and_out_of_range(key, value):
+    # Z_o = NaN and q < 0 reached K_2 and failed there; epsilon = inf gave NaN
+    with pytest.raises(ValueError, match=key):
+        _mirror(**{key: value})
 
 
 def test_vdw_far_frozen():
