@@ -359,12 +359,21 @@ def _experiment_value(cfg, block, cls):
         raise ConfigError(block, str(exc))
 
 
-def cmd_estimate_slit(cfg, out_path=None) -> int:
-    if cfg.get("slit") is None:
-        raise ConfigError("slit", "slit block required for estimate-slit")
-    slit = _experiment_value(cfg, "slit", experiment.SlitGeometry)
+def _finite_values(block, compute):
+    """The dict compute() returns, or a ConfigError at block when a number in it overflows."""
+    try:
+        values = compute()
+    except OverflowError as exc:
+        raise ConfigError(block, f"a value overflows: {exc}")
+    for name, val in values.items():
+        if isinstance(val, float) and not math.isfinite(val):
+            raise ConfigError(block, f"{name} = {val} is not finite")
+    return values
+
+
+def _slit_values(slit):
     printed, flagged, ratio = experiment.gamma_hard_2slit(slit)
-    payload = {
+    return {
         "gamma_dressed_2slit": experiment.gamma_dressed_2slit(slit),
         "gamma_hard_2slit_printed": printed,
         "gamma_hard_2slit_with_velocity_factor": flagged,
@@ -372,15 +381,26 @@ def cmd_estimate_slit(cfg, out_path=None) -> int:
         "acceleration_A_center": experiment.slit_acceleration(slit, 0.0, "A"),
         "acceleration_B_center": experiment.slit_acceleration(slit, 0.0, "B"),
     }
+
+
+def _mirror_values(mirror):
+    regime = "far" if mirror.Z_o > mirror.r_o else "near"
+    return {
+        "vdw_potential": experiment.vdw_potential(mirror, regime),
+        "vdw_regime": regime,
+        "surface_coupling": experiment.surface_coupling(mirror),
+        "rayleigh_rate": experiment.rayleigh_rate(mirror, mirror.q),
+    }
+
+
+def cmd_estimate_slit(cfg, out_path=None) -> int:
+    if cfg.get("slit") is None:
+        raise ConfigError("slit", "slit block required for estimate-slit")
+    slit = _experiment_value(cfg, "slit", experiment.SlitGeometry)
+    payload = _finite_values("slit", lambda: _slit_values(slit))
     if cfg.get("mirror") is not None:
         mirror = _experiment_value(cfg, "mirror", experiment.ParticleMirror)
-        regime = "far" if mirror.Z_o > mirror.r_o else "near"
-        payload["mirror"] = {
-            "vdw_potential": experiment.vdw_potential(mirror, regime),
-            "vdw_regime": regime,
-            "surface_coupling": experiment.surface_coupling(mirror),
-            "rayleigh_rate": experiment.rayleigh_rate(mirror, mirror.q),
-        }
+        payload["mirror"] = _finite_values("mirror", lambda: _mirror_values(mirror))
     _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", out_path)
     return 0
 

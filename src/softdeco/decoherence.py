@@ -21,8 +21,13 @@ The angular factor I_n depends only on v = l/tau and the frequency factor
 only on tau, the cutoffs and beta, so a batch of reports whose points share
 one of them need not compute it again: decoherence_report takes a dict,
 passes, owned by the caller for one batch (the CLI's sweep), in which it
-keeps each pass under what it depends on.  Nothing is kept at module level,
-so no result outlives the batch that made it.
+keeps each pass under what it depends on: the angular QuadratureResult
+under v and the spec, and the frequency factors, already contracted to one
+QuadratureResult per variant, under tau, the cutoffs, the spec and the
+variants requested.  A report that finds both only multiplies them.  The
+bracket is even in nz, so the angular pass evaluates only half the sphere
+(sphere_integrate's even_z).  Nothing is kept at module level, so no result
+outlives the batch that made it.
 
 Hard is never a basis vector: c_sub and c_hard both grow like Omega tau, so
 a (sub, hard) basis would build dressed = ss + hh + 2 sh by cancelling terms
@@ -124,7 +129,8 @@ def angular_bracket(g: InterferometerGeometry):
     Returns f(nx, ny, nz) evaluating
     omega^2 [ 2 V1.V2 / ((q.V1)(q.V2)) - 1/(q.V1)^2 - 1/(q.V2)^2 ],
     which depends only on the direction.  With the y- and x-directed branch
-    velocities this is nonnegative; it vanishes when v = 0.
+    velocities this is nonnegative; it vanishes when v = 0.  It reads only
+    nx and ny, so it is even under nz -> -nz.
     """
     v = g.v
 
@@ -140,7 +146,7 @@ def angular_bracket(g: InterferometerGeometry):
 def angular_integral(
     g: InterferometerGeometry, spec: QuadratureSpec = QuadratureSpec()
 ) -> QuadratureResult:
-    return sphere_integrate(angular_bracket(g), spec)
+    return sphere_integrate(angular_bracket(g), spec, even_z=True)
 
 
 def _gram_weight(omega, beta: float | None):
@@ -184,19 +190,42 @@ def _reuse(passes, key, compute):
     return passes[key]
 
 
+def _freq_factors(tau: float, cut: CutoffSet, spec, requests) -> list:
+    """The frequency factor of each (row weights, lo) request, from one pass split at every lo.
+
+    Each error is the contracted GL-24 sum minus the GL-12 one.
+    """
+    breaks = np.append(np.unique([lo for _, lo in requests]), cut.omega_uv)
+    rows = freq_integrate_rows(
+        lambda w: _gram_rows(w, tau, cut.beta),
+        breaks,
+        tau,
+        spec,
+        split=lambda w: _gram_split_rows(w, tau, cut.beta),
+    )
+    # sums over [breaks[k], omega_uv]: the segments added from the top down
+    coarse, fine = (np.cumsum(s[::-1], axis=0)[::-1] for s in rows)
+    out = []
+    for weights, lo in requests:
+        k = np.searchsorted(breaks, lo)
+        out.append(
+            QuadratureResult.from_pair(float(coarse[k] @ weights), float(fine[k] @ weights), spec)
+        )
+    return out
+
+
 def _gammas(
     g: InterferometerGeometry, cut: CutoffSet, spec, e2, requests, passes=None
 ) -> list:
     """Gamma for each (row weights, lo) request from one angular and one frequency pass.
 
     The frequency pass is split at every lo; the div row dd = 1/w needs lo > 0.
-    Each frequency error is the contracted GL-24 sum minus the GL-12 one.
 
     passes, a dict owned by the caller, keeps the angular pass under
-    ("angular", v, spec) and the frequency pass (the freq_integrate_rows
-    sums) under ("frequency", tau, cut, spec), for reuse by later calls.
-    The frequency key holds only for callers whose requests follow from cut,
-    as decoherence_report's do.
+    ("angular", v, spec) and the contracted frequency factors, one
+    QuadratureResult per request, under ("frequency", tau, cut, spec,
+    requests), for reuse by later calls; a report that finds both only
+    multiplies them.
     """
     if g.v == 0.0:
         return [QuadratureResult(0.0, 0.0, True)] * len(requests)
@@ -207,27 +236,14 @@ def _gammas(
             "like ln(1/lambda) as lambda -> 0"
         )
     ang = _reuse(passes, ("angular", g.v, spec), lambda: angular_integral(g, spec))
-    breaks = np.append(np.unique([lo for _, lo in requests]), cut.omega_uv)
-    rows = _reuse(
+    freqs = _reuse(
         passes,
-        ("frequency", g.tau, cut, spec),
-        lambda: freq_integrate_rows(
-            lambda w: _gram_rows(w, g.tau, cut.beta),
-            breaks,
-            g.tau,
-            spec,
-            split=lambda w: _gram_split_rows(w, g.tau, cut.beta),
-        ),
+        ("frequency", g.tau, cut, spec, tuple(requests)),
+        lambda: _freq_factors(g.tau, cut, spec, requests),
     )
-    # sums over [breaks[k], omega_uv]: the segments added from the top down
-    coarse, fine = (np.cumsum(s[::-1], axis=0)[::-1] for s in rows)
     pref = e2 / (4.0 * (2.0 * math.pi) ** 3)
     out = []
-    for weights, lo in requests:
-        k = np.searchsorted(breaks, lo)
-        freq = QuadratureResult.from_pair(
-            float(coarse[k] @ weights), float(fine[k] @ weights), spec
-        )
+    for freq in freqs:
         value = pref * ang.value * freq.value
         err = pref * (abs(ang.error * freq.value) + abs(ang.value * freq.error))
         out.append(QuadratureResult(value, err, ang.converged and freq.converged))

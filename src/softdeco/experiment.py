@@ -60,6 +60,8 @@ class SlitGeometry:
             raise ValueError("v_over_c must lie in (0, 1)")
         if not self.L_o > self.a_o:
             raise ValueError("L_o must exceed a_o")
+        if not math.isfinite(self.L_o / self.a_o):
+            raise ValueError(f"L_o/a_o must be finite, got {self.L_o / self.a_o}")
 
     @property
     def deflection_scale(self) -> float:

@@ -9,6 +9,12 @@ A whole fine grid (96 x 192 nodes) would make every temporary of the
 integrand 147 KB, above glibc's 128 KB mmap threshold, so each one would be
 mapped afresh and page-faulted; a 32 KB block reuses the heap.  The weighted
 values are still summed as one array, so the result does not move a bit.
+An integrand declared even under nz -> -nz (sphere_integrate's even_z; the
+angular bracket of two velocities in the xy-plane is one) is evaluated only
+on the rings with cos(theta) <= 0, the equator included when n_theta is
+odd.  The Gauss-Legendre nodes are antisymmetric to the bit, so the
+mirrored ring has the same nx and ny, and its values are copied over before
+the one sum: half the evaluations, the same bits.
 
 The frequency rule has two regimes.  Over the first 64 periods 2*pi/tau it
 uses panels aligned to the period, so its cost there is fixed.  Above them,
@@ -160,8 +166,14 @@ def bessel_k2(x: float) -> float:
 
 @functools.lru_cache(maxsize=16)
 def _sphere_grid(n_theta: int, n_phi: int):
-    """Nodes and weights of the sphere rule; cached, so returned read-only."""
-    u, wu = np.polynomial.legendre.leggauss(n_theta)  # u = cos(theta)
+    """Nodes and weights of the sphere rule; cached, so returned read-only.
+
+    Ring i and ring n_theta - 1 - i lie at cos(theta) = -u and u and share
+    their nx and ny to the bit, which the mirrored pass relies on.
+    """
+    u, wu = np.polynomial.legendre.leggauss(n_theta)  # u = cos(theta), ascending
+    # exact antisymmetry; a no-op on leggauss's nodes, which are symmetrised
+    u = 0.5 * (u - u[::-1])
     phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
     s = np.sqrt(1.0 - u * u)
     nx = np.outer(s, np.cos(phi)).ravel()
@@ -173,31 +185,42 @@ def _sphere_grid(n_theta: int, n_phi: int):
     return nx, ny, nz, w
 
 
-def _sphere_pass(f, n_theta, n_phi):
+def _sphere_pass(f, n_theta, n_phi, even_z=False):
     """np.sum(w * f(nx, ny, nz)), with f called on blocks of _SPHERE_BLOCK nodes.
 
     The temporaries of f stay block-sized, while the weighted values are
     summed as one array, in the same pairwise order as the unblocked sum.
+    With even_z, f is called only on the rings with cos(theta) <= 0, and
+    each value is copied to the mirrored ring.
     """
     nx, ny, nz, w = _sphere_grid(n_theta, n_phi)
     vals = np.empty_like(w)
-    for start in range(0, w.size, _SPHERE_BLOCK):
-        block = slice(start, start + _SPHERE_BLOCK)
+    stop = (n_theta - n_theta // 2) * n_phi if even_z else w.size
+    for start in range(0, stop, _SPHERE_BLOCK):
+        block = slice(start, min(start + _SPHERE_BLOCK, stop))
         vals[block] = f(nx[block], ny[block], nz[block])
+    if even_z:
+        rings = vals.reshape(n_theta, n_phi)
+        rings[n_theta - n_theta // 2 :] = rings[: n_theta // 2][::-1]
     vals *= w
     return float(np.sum(vals))
 
 
-def sphere_integrate(f, spec: QuadratureSpec = QuadratureSpec()) -> QuadratureResult:
+def sphere_integrate(
+    f, spec: QuadratureSpec = QuadratureSpec(), *, even_z: bool = False
+) -> QuadratureResult:
     """Integrate f(nx, ny, nz) over the unit sphere.
 
     f must accept numpy arrays of direction components and act on them
     elementwise: it is called once per block of nodes.  Gauss-Legendre in
     cos(theta) and periodic trapezoid in phi converge spectrally for smooth
-    integrands; the error gauge compares against a doubled grid.
+    integrands; the error gauge compares against a doubled grid.  even_z
+    declares f even under nz -> -nz, so that only the rings with
+    cos(theta) <= 0 are evaluated; for an f that reads nz only through
+    an even function, or not at all, the result is the same bits as without.
     """
-    coarse = _sphere_pass(f, spec.n_theta, spec.n_phi)
-    fine = _sphere_pass(f, 2 * spec.n_theta, 2 * spec.n_phi)
+    coarse = _sphere_pass(f, spec.n_theta, spec.n_phi, even_z)
+    fine = _sphere_pass(f, 2 * spec.n_theta, 2 * spec.n_phi, even_z)
     return QuadratureResult.from_pair(coarse, fine, spec)
 
 

@@ -464,6 +464,28 @@ def test_estimate_slit_rejects_bad_numbers(tmp_path, capsys, key, raw, where):
     assert captured.err.startswith(f"config error at {where}: ")
 
 
+@pytest.mark.parametrize(
+    "block, values, message",
+    [
+        # Omega^2 tau^2 / 2 overflows: printed Infinity and NaN with exit 0
+        ("slit", {"L_o": 1e150}, "gamma_hard_2slit_printed = inf is not finite"),
+        # the ratio itself overflows: an uncaught "omega_uv must be finite"
+        ("slit", {"a_o": 1e-150, "L_o": 1e160}, "L_o/a_o must be finite, got inf"),
+        # Q**2 and r_o**4 raise OverflowError
+        ("slit", {"Q": 1e200}, "a value overflows"),
+        ("mirror", {"r_o": 1e100, "Z_o": 5e100}, "a value overflows"),
+    ],
+)
+def test_estimate_slit_rejects_overflow(tmp_path, capsys, block, values, message):
+    cfg = copy.deepcopy(_SLIT_CFG)
+    cfg[block].update(values)
+    path = write_config(tmp_path, cfg)
+    assert cli.main(["estimate-slit", "--config", path], environ={}) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"config error at '{block}': {message}")
+
+
 def test_estimate_slit_accepts_null_ell_o(tmp_path, capsys):
     cfg = copy.deepcopy(_SLIT_CFG)
     cfg["slit"]["ell_o"] = None

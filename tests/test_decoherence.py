@@ -213,6 +213,36 @@ def test_one_angular_and_one_frequency_pass_per_report(pass_counts):
     assert pass_counts == {"sphere_integrate": 1, "freq_integrate": 0, "freq_integrate_rows": 1}
 
 
+@pytest.mark.parametrize("n_theta, n_phi", [(16, 32), (48, 96), (49, 97), (61, 30)])
+def test_angular_integral_mirrored_is_the_full_pass(n_theta, n_phi):
+    from softdeco.numerics import sphere_integrate
+
+    spec = QuadratureSpec(n_theta=n_theta, n_phi=n_phi)
+    for v in (1e-6, 0.05, 0.3, 0.7, 0.9, 0.98, 0.995):
+        g = InterferometerGeometry(v, 1.0)
+        full = sphere_integrate(decoherence.angular_bracket(g), spec)
+        assert angular_integral(g, spec) == full, v
+
+
+def test_shared_passes_keep_each_request_list_apart():
+    # one dict, one (tau, cut, spec), request lists that differ in weights and in lo
+    g = InterferometerGeometry(0.6, 3.0)
+    cut = CutoffSet(omega_uv=15.0, lambda_ir=1e-4)
+    lists = [
+        [(VARIANTS["dressed"], 0.0)],
+        [(VARIANTS["sub"], 0.0), (VARIANTS["hard"], 0.0)],
+        [(VARIANTS["full"], 1e-4), (VARIANTS["full"], 1e-3)],
+        [(VARIANTS["full"], 1e-4), (VARIANTS["dressed"], 0.0)],
+    ]
+    passes = {}
+    for _ in range(2):
+        for requests in lists:
+            shared = decoherence._gammas(g, cut, FAST, E2_ELECTRON, requests, passes)
+            fresh = decoherence._gammas(g, cut, FAST, E2_ELECTRON, requests)
+            assert shared == fresh, requests
+    assert len(passes) == 1 + len(lists)
+
+
 def test_one_angular_and_one_frequency_pass_per_divergence_fit(pass_counts):
     g = InterferometerGeometry(0.2, 3.0)
     cut = CutoffSet(omega_uv=15.0, lambda_ir=1e-4)

@@ -124,6 +124,11 @@ def test_slit_rejects_nonfinite_and_out_of_range(key, value):
         _slit(**{key: value})
 
 
+def test_slit_rejects_an_aspect_ratio_beyond_the_float_range():
+    with pytest.raises(ValueError, match="L_o/a_o must be finite"):
+        _slit(a_o=1e-150, L_o=1e160)
+
+
 def _mirror(**kw):
     base = dict(r_o=1.0, Z_o=5.0, epsilon=2.0, g_o=1.0, q=0.5, X_o=0.0, U_o=0.0)
     base.update(kw)

@@ -165,6 +165,41 @@ def test_sphere_blocks_sum_like_one_array():
     assert r.error == abs(fine - coarse)
 
 
+_MIRROR_SPEEDS = (1e-6, 0.05, 0.5, 0.9, 0.98, 0.995)
+
+
+@pytest.mark.parametrize("n_theta", [8, 9, 48, 49, 61])
+@pytest.mark.parametrize("n_phi", [16, 30, 96, 97])
+def test_sphere_even_z_is_the_full_pass(n_theta, n_phi):
+    # the velocity bracket of the x- and y-directed arms, even in nz
+    spec = QuadratureSpec(n_theta=n_theta, n_phi=n_phi)
+    calls = []
+    for v in _MIRROR_SPEEDS:
+
+        def f(nx, ny, nz, v=v):
+            calls.append(nx.size)
+            d1, d2 = 1.0 - v * ny, 1.0 - v * nx
+            return 2.0 / (d1 * d2) - (1.0 - v * v) * (1.0 / d1**2 + 1.0 / d2**2)
+
+        full = sphere_integrate(f, spec)
+        del calls[:]
+        mirrored = sphere_integrate(f, spec, even_z=True)
+        assert mirrored == full, (v, mirrored, full)
+        # only the rings with cos(theta) <= 0: the equator too when n_theta is odd
+        assert sum(calls) == (n_theta - n_theta // 2) * n_phi + n_theta * 2 * n_phi
+        del calls[:]
+
+
+def test_sphere_grid_mirrored_rings_share_nx_ny():
+    for n_theta in list(range(8, 130)) + [192, 400, 800]:
+        nx, ny, nz, w = (a.reshape(n_theta, 16) for a in _sphere_grid(n_theta, 16))
+        assert np.array_equal(nx, nx[::-1]) and np.array_equal(ny, ny[::-1]), n_theta
+        assert np.array_equal(nz, -nz[::-1]), n_theta
+        assert np.all(nz[: n_theta // 2] < 0), n_theta
+        if n_theta % 2:
+            assert np.all(nz[n_theta // 2] == 0.0), n_theta
+
+
 @given(st.floats(0.05, 0.95))
 @settings(max_examples=20, deadline=None)
 def test_sphere_doppler_identity(v):
