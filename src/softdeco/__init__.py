@@ -12,9 +12,7 @@ from .kinematics import (
     WorldlineSegment,
     Worldline,
     InterferometerGeometry,
-    minkowski_dot,
     four_velocity,
-    boost,
     build_interferometer,
 )
 from .currents import (

@@ -144,6 +144,12 @@ def _require_number(cfg, dotted, minimum=None, strict=False, allow_none=False):
 
 
 def _validate(cfg: dict):
+    for block in ("geometry", "cutoffs", "charge", "quadrature", "sweep"):
+        node = cfg.get(block)
+        if isinstance(node, dict):
+            unknown = sorted(node.keys() - (DEFAULT_CONFIG[block] or _BLOCK_KEYS[block]))
+            if unknown:
+                raise ConfigError(f"{block}.{unknown[0]}", "unknown key")
     l = _require_number(cfg, "geometry.l", minimum=0.0)
     tau = _require_number(cfg, "geometry.tau", minimum=0.0, strict=True)
     if l / tau >= 1.0:

@@ -396,7 +396,6 @@ class DivergenceFit:
     """Result of fitting Gamma(lambda) to a + b ln(1/lambda)."""
 
     coefficient: float  # b
-    intercept: float
     r_squared: float
     ok: bool
 
@@ -432,7 +431,6 @@ def divergence_coefficient(
     r2 = 1.0 - ssres / sstot if sstot > 0 else 0.0
     return DivergenceFit(
         coefficient=float(b),
-        intercept=float(a),
         r_squared=r2,
         ok=r2 >= 1.0 - 1e-6,
     )

@@ -28,9 +28,7 @@ __all__ = [
     "WorldlineSegment",
     "Worldline",
     "InterferometerGeometry",
-    "minkowski_dot",
     "four_velocity",
-    "boost",
     "build_interferometer",
 ]
 
@@ -88,12 +86,6 @@ class FourVector(NamedTuple):
         t, x, y, z = self
         return FourVector(t.conjugate(), x.conjugate(), y.conjugate(), z.conjugate())
 
-    def spatial(self) -> np.ndarray:
-        return np.array(self[1:])
-
-    def as_array(self) -> np.ndarray:
-        return np.array(self)
-
     def norm(self) -> float:
         """Euclidean magnitude of the components, used for error scales."""
         t, x, y, z = self
@@ -112,11 +104,6 @@ def _reduce_stored(self):
     return tuple.__new__, (type(self), tuple(self))
 
 
-def minkowski_dot(a: FourVector, b: FourVector) -> complex:
-    """Signature (+,-,-,-) contraction; no conjugation on either argument."""
-    return a.dot(b)
-
-
 def four_velocity(v3) -> FourVector:
     """Unit timelike four-velocity gamma*(1, v3) for a three-velocity with |v3| < 1.
 
@@ -130,22 +117,6 @@ def four_velocity(v3) -> FourVector:
     gamma = 1.0 / math.sqrt(1.0 - speed2)
     vx, vy, vz = a.tolist()
     return FourVector(gamma, gamma * vx, gamma * vy, gamma * vz)
-
-
-def boost(a: FourVector, v3) -> FourVector:
-    """Apply a pure boost with three-velocity v3 (|v3| < 1) to a four-vector."""
-    v3 = np.asarray(v3, dtype=float)
-    b2 = float(v3 @ v3)
-    if not b2 < 1.0:
-        raise ValueError("boost velocity must satisfy |v| < 1")
-    if b2 == 0.0:
-        return a
-    gamma = 1.0 / math.sqrt(1.0 - b2)
-    r = a.spatial()
-    bp = v3 @ r
-    t = gamma * (a.t + bp)
-    r_new = r + ((gamma - 1.0) * bp / b2 + gamma * a.t) * v3
-    return FourVector(t, r_new[0], r_new[1], r_new[2])
 
 
 class _PhotonFields(NamedTuple):
@@ -172,6 +143,10 @@ class PhotonMomentum(_PhotonFields):
     # normalising again on unpickling could move the last bit of n_hat
     __reduce__ = _reduce_stored
 
+    @classmethod
+    def _make(cls, iterable) -> "PhotonMomentum":
+        return cls(*iterable)
+
     def _replace(self, **changes) -> "PhotonMomentum":
         """A copy with some fields changed, checked and normalised again."""
         return PhotonMomentum(**{**self._asdict(), **changes})
@@ -183,15 +158,6 @@ class PhotonMomentum(_PhotonFields):
 
     def four_vector(self) -> FourVector:
         return FourVector(*self.components())
-
-    @staticmethod
-    def from_angles(omega: float, theta: float, phi: float) -> "PhotonMomentum":
-        n = (
-            math.sin(theta) * math.cos(phi),
-            math.sin(theta) * math.sin(phi),
-            math.cos(theta),
-        )
-        return PhotonMomentum(omega, n)
 
 
 class _SegmentFields(NamedTuple):
@@ -227,6 +193,15 @@ class WorldlineSegment(_SegmentFields):
 
     __reduce__ = _reduce_stored
 
+    @classmethod
+    def _make(cls, iterable) -> "WorldlineSegment":
+        """Build from all four fields; the end event must be the one the constructor computes."""
+        start_event, velocity, duration, end_event = iterable
+        seg = cls(start_event, velocity, duration)
+        if seg.end_event != tuple(end_event):
+            raise ValueError("end event differs from start_event + duration * velocity")
+        return seg
+
     def _replace(self, **changes) -> "WorldlineSegment":
         """A copy with some of the three inputs changed, checked, and its end event rebuilt."""
         start_event, velocity, duration, _ = self
@@ -236,13 +211,12 @@ class WorldlineSegment(_SegmentFields):
 
 @dataclass(frozen=True)
 class Worldline:
-    """Ordered continuous chain of straight segments with proper-time bounds."""
+    """Ordered continuous chain of straight segments."""
 
     segments: tuple
-    s_i: float = 0.0
     _kinks: tuple = field(init=False, repr=False, compare=False)
 
-    def __init__(self, segments, s_i: float = 0.0):
+    def __init__(self, segments):
         segments = tuple(segments)
         if not segments:
             raise ValueError("worldline needs at least one segment")
@@ -263,12 +237,7 @@ class Worldline:
                     raise ValueError("segments are not continuous")
             kinks.append((start, a.velocity, b.velocity))
         object.__setattr__(self, "segments", segments)
-        object.__setattr__(self, "s_i", float(s_i))
         object.__setattr__(self, "_kinks", tuple(kinks))
-
-    @property
-    def s_f(self) -> float:
-        return self.s_i + sum(seg.duration for seg in self.segments)
 
     @property
     def start_event(self) -> FourVector:

@@ -1,7 +1,7 @@
 """Information-theoretic summary of a decoherence value.
 
 The photon-state overlap is exp(-Gamma); distinguishability and the
-visibility bound follow from it and saturate the duality relation
+visibility bound follow from it exactly and saturate the duality relation
 D^2 + V^2 = 1.
 """
 
@@ -12,26 +12,20 @@ from dataclasses import dataclass
 
 __all__ = ["WhichPathSummary", "summarize"]
 
-SMALL_GAMMA_THRESHOLD = 0.1
-
 
 @dataclass(frozen=True)
 class WhichPathSummary:
-    gamma: float
     overlap: float  # |<R|L>| = exp(-Gamma)
     distinguishability: float  # D = sqrt(1 - exp(-2 Gamma))
     visibility_bound: float  # V_max = exp(-Gamma)
     guess_bound: float  # L_max = (1 + D)/2
-    small_gamma_distinguishability: float  # the D ~ Gamma surrogate
-    small_gamma_valid: bool  # surrogate trustworthy only for Gamma < 0.1
 
 
 def summarize(gamma: float) -> WhichPathSummary:
     """Exact which-path measures for a decoherence value Gamma >= 0.
 
-    The linearized surrogate D ~ Gamma is reported alongside the exact
-    trace-distance formula, flagged by its regime of validity; it is never
-    used in place of the exact value.
+    D comes from the trace-distance formula at every Gamma; at small Gamma
+    it is close to sqrt(2 Gamma), not Gamma.
     """
     if gamma < 0:
         raise ValueError("Gamma must be >= 0")
@@ -39,11 +33,8 @@ def summarize(gamma: float) -> WhichPathSummary:
     # 1 - exp(-2G) via expm1 to keep D accurate at small Gamma
     dist = math.sqrt(-math.expm1(-2.0 * gamma))
     return WhichPathSummary(
-        gamma=gamma,
         overlap=overlap,
         distinguishability=dist,
         visibility_bound=overlap,
         guess_bound=0.5 * (1.0 + dist),
-        small_gamma_distinguishability=gamma,
-        small_gamma_valid=gamma < SMALL_GAMMA_THRESHOLD,
     )

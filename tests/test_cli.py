@@ -134,6 +134,28 @@ def test_sweep_rejects_bool_points_and_non_positive_log_bounds(tmp_path, key, va
     assert cli.main(["sweep", "--config", path, "--out", str(tmp_path / "x.csv")], environ={}) == 1
 
 
+@pytest.mark.parametrize(
+    "key", ["geometry.lenght", "cutoffs.omega_UV", "charge.q", "quadrature.ntheta", "sweep.step"]
+)
+@pytest.mark.parametrize("source", ["file", "env"])
+def test_unknown_key_in_a_block_rejected(tmp_path, capsys, key, source):
+    # a misspelled key would leave its default in force without a word
+    block, name = key.split(".")
+    cfg = _sweep_cfg() if block == "sweep" else {block: {}}
+    cfg[block][name] = 3
+    path = tmp_path / "cfg.json"
+    env = {}
+    if source == "file":
+        path.write_text(json.dumps(cfg))
+    else:
+        path.write_text("{}")
+        env = {f"SOFTDECO_{block}".upper(): json.dumps(cfg[block])}
+    with pytest.raises(cli.ConfigError, match=re.escape(f"'{key}': unknown key")):
+        cli.load_config(str(path), environ=env)
+    assert cli.main(["gamma", "--config", str(path)], environ=env) == 1
+    assert f"'{key}'" in capsys.readouterr().err
+
+
 def test_variants_key_is_gone(tmp_path):
     # a config file that still carries it loads; as an override it is unknown
     cli.load_config(write_config(tmp_path, {"variants": ["full"]}), environ={})

@@ -166,7 +166,7 @@ def test_kink_current_against_smoothed_quadrature():
     dF = np.gradient(F, s, axis=0)
     phase = np.exp(1j * qdotX)
     oracle = 1j * np.trapezoid(phase[:, None] * dF, s, axis=0)
-    got = j.as_array()
+    got = np.array(j)
     assert np.max(np.abs(got - oracle)) <= 1e-6 * np.max(np.abs(got))
 
 

@@ -3,8 +3,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from softdeco import WhichPathSummary, summarize
-from softdeco.whichpath import SMALL_GAMMA_THRESHOLD
+from softdeco import summarize
 
 gammas = st.floats(0.0, 50.0, allow_nan=False)
 
@@ -26,7 +25,6 @@ def test_frozen_example():
     s = summarize(0.05)
     assert s.overlap == pytest.approx(math.exp(-0.05), rel=1e-15, abs=0)
     assert s.distinguishability == pytest.approx(0.3084843301758, rel=1e-10, abs=0)
-    assert s.small_gamma_valid
 
 
 @given(gammas)
@@ -53,19 +51,6 @@ def test_bounds(gamma):
     assert 0.0 <= s.distinguishability <= 1.0
     assert 0.0 < s.visibility_bound <= 1.0
     assert 0.5 <= s.guess_bound <= 1.0
-
-
-def test_small_gamma_surrogate():
-    s = summarize(1e-6)
-    # D = sqrt(1 - exp(-2 G)) ~ sqrt(2 G), so the linear surrogate is the
-    # reported Gamma itself and is only a rough proxy; the flag must still
-    # mark the regime correctly
-    assert s.small_gamma_valid
-    assert s.small_gamma_distinguishability == 1e-6
-    big = summarize(2.0)
-    assert not big.small_gamma_valid
-    edge = summarize(SMALL_GAMMA_THRESHOLD)
-    assert not edge.small_gamma_valid
 
 
 def test_small_gamma_distinguishability_accuracy():
