@@ -143,13 +143,21 @@ def _require_number(cfg, dotted, minimum=None, strict=False, allow_none=False):
     return value
 
 
-def _validate(cfg: dict):
-    for block in ("geometry", "cutoffs", "charge", "quadrature", "sweep"):
-        node = cfg.get(block)
+def _check_keys(cfg: dict):
+    """Reject a key that no block lists, so that a misspelling cannot leave a default in force."""
+    # "variants" is retired: a config file may still carry it, and it is ignored
+    unknown = sorted(cfg.keys() - DEFAULT_CONFIG.keys() - {"variants"})
+    if unknown:
+        raise ConfigError(unknown[0], "unknown key")
+    for block, keys in DEFAULT_CONFIG.items():
+        node = cfg[block]
         if isinstance(node, dict):
-            unknown = sorted(node.keys() - (DEFAULT_CONFIG[block] or _BLOCK_KEYS[block]))
+            unknown = sorted(node.keys() - (keys or _BLOCK_KEYS[block]))
             if unknown:
                 raise ConfigError(f"{block}.{unknown[0]}", "unknown key")
+
+
+def _validate(cfg: dict):
     l = _require_number(cfg, "geometry.l", minimum=0.0)
     tau = _require_number(cfg, "geometry.tau", minimum=0.0, strict=True)
     if l / tau >= 1.0:
@@ -206,6 +214,7 @@ def load_config(path: str | None, environ=None) -> dict:
             raise ConfigError(path, "top level must be an object")
         _deep_merge(cfg, user)
     _apply_env_overrides(cfg, environ if environ is not None else os.environ)
+    _check_keys(cfg)
     _validate(cfg)
     return cfg
 
@@ -428,33 +437,67 @@ def _random_worldline(rng) -> kinematics.Worldline:
     return kinematics.Worldline(segments)
 
 
-def _random_momentum(rng, omega=None) -> kinematics.PhotonMomentum:
-    n = rng.normal(size=3)
-    n /= np.linalg.norm(n)
-    if omega is None:
-        omega = float(10.0 ** rng.uniform(-2, 1))
-    return kinematics.PhotonMomentum(omega, n)
-
-
 def _loglog_slope(x, y):
     return float(np.polyfit(np.log(x), np.log(y), 1)[0])
 
 
+def _uniform(u, low, high):
+    """random() draws u mapped onto [low, high) as Generator.uniform maps them."""
+    return low + (high - low) * u
+
+
+def _random_chains(rng, count):
+    """count draws of _random_worldline and of a photon momentum, as padded arrays.
+
+    Each draw makes the generator calls of _random_worldline, merged into one
+    random() call, then normal(size=3) for the direction and random() for
+    log10(omega) on [-2, 1], so the generator ends where the scalar draws
+    leave it.  Chains of fewer than 4 segments repeat their last velocity
+    for zero time.  Returns events (count, 5, 4), velocities (count, 4, 4)
+    and q (count, 4), in the layout of currents.chain_currents.
+    """
+    m = 4  # integers(2, 5) draws at most 4 segments
+    n_seg, uniforms, normals, exponents = [], [], [], []
+    for _ in range(count):
+        n = int(rng.integers(2, m + 1))
+        n_seg.append(n)
+        uniforms.append(rng.random(4 + 4 * n))
+        normals.append(rng.normal(size=3))
+        exponents.append(rng.random())
+    n_seg = np.array(n_seg)
+    raw = np.zeros((count, 4 + 4 * m))
+    raw[np.arange(4 + 4 * m) < 4 + 4 * n_seg[:, None]] = np.concatenate(uniforms)
+    # a padded segment takes the draws of the chain's last one, for zero time
+    last = np.minimum(np.arange(m), n_seg[:, None] - 1)
+    segs = np.take_along_axis(raw[:, 4:].reshape(count, m, 4), last[..., None], axis=1)
+    v3 = _uniform(segs[..., :3], -0.5, 0.5)
+    duration = np.where(np.arange(m) < n_seg[:, None], _uniform(segs[..., 3], 0.1, 2.0), 0.0)
+    gamma = 1.0 / np.sqrt(1.0 - (v3[..., 0] ** 2 + v3[..., 1] ** 2 + v3[..., 2] ** 2))
+    velocities = np.concatenate([gamma[..., None], gamma[..., None] * v3], axis=-1)
+    events = np.empty((count, m + 1, 4))
+    events[:, 0] = _uniform(raw[:, :4], -1.0, 1.0)
+    for k in range(m):
+        events[:, k + 1] = events[:, k] + duration[:, k, None] * velocities[:, k]
+    normals = np.array(normals)
+    n_hat = normals / np.sqrt((normals**2).sum(axis=1, keepdims=True))
+    omega = 10.0 ** _uniform(np.array(exponents), -2.0, 1.0)
+    q = omega[:, None] * np.concatenate([np.ones((count, 1)), n_hat], axis=1)
+    return events, velocities, q
+
+
 def _check_conservation(cfg, rng):
-    worst = 0.0
-    for _ in range(200):
-        w = _random_worldline(rng)
-        q = _random_momentum(rng)
-        qv = q.four_vector()
-        triple = currents.soft_decompose(w, q)
-        full = currents.current_fourier(w, q)
-        # round-off in the hard remainder is absolute, set by the size of
-        # the currents it was subtracted from, so normalize by that scale
-        scale = max(j.norm() for j in (full, triple.j_div, triple.j_sub))
-        if scale == 0:
-            continue
-        for j in (full, triple.j_div, triple.j_sub, triple.j_hard):
-            worst = max(worst, abs(qv.dot(j)) / scale)
+    events, velocities, q = _random_chains(rng, 200)
+    pieces = currents.chain_currents(events, velocities, q)
+
+    def dot_q(j):
+        return q[:, 0] * j[:, 0] - q[:, 1] * j[:, 1] - q[:, 2] * j[:, 2] - q[:, 3] * j[:, 3]
+
+    # round-off in the hard remainder is absolute, set by the size of the
+    # currents it was subtracted from, so normalize by that scale
+    scale = np.max([np.sqrt((np.abs(j) ** 2).sum(axis=1)) for j in pieces[:3]], axis=0)
+    drawn = scale > 0
+    residual = np.max([np.abs(dot_q(j)) for j in pieces], axis=0)
+    worst = float(np.max(residual[drawn] / scale[drawn], initial=0.0))
     return worst <= 1e-12, f"max |q.j|/|j| = {worst:.3e}"
 
 

@@ -19,6 +19,12 @@ of ``timeit``, 2-vCPU Xeon, Python 3.11), and numpy scalar arithmetic would be
 slower still.  Only the two 3-vector norms upstream (|v|^2 in
 ``four_velocity`` and |n| in ``PhotonMomentum``) stay numpy dot products,
 whose fused multiply-adds plain Python would not reproduce.
+
+``chain_currents`` is the array form of ``current_fourier`` and
+``soft_decompose``, for many chains or many momenta in one call.  It
+computes every product and sum in the scalar kernels' order, so it agrees
+with them to round-off in the phases (numpy's sin and cos against libm's);
+the scalar kernels stay the reference that the tests compare it with.
 """
 
 from __future__ import annotations
@@ -27,12 +33,16 @@ import cmath
 import math
 from typing import NamedTuple
 
+import numpy as np
+
 from .kinematics import FourVector, PhotonMomentum, Worldline, InterferometerGeometry
 
 __all__ = [
     "SoftCurrentTriple",
+    "ChainCurrents",
     "current_fourier",
     "soft_decompose",
+    "chain_currents",
     "soft_factors",
     "delta_current",
     "delta_current_parts",
@@ -133,6 +143,77 @@ def soft_decompose(
         c * ht - charge * st, c * hx - charge * sx, c * hy - charge * sy, c * hz - charge * sz
     )
     return SoftCurrentTriple(j_div, _scaled(charge, sub), j_hard)
+
+
+class ChainCurrents(NamedTuple):
+    """The full current and its soft pieces for a batch of chains, each of shape (..., 4)."""
+
+    full: np.ndarray
+    j_div: np.ndarray
+    j_sub: np.ndarray
+    j_hard: np.ndarray
+
+
+def _complex(re, im) -> np.ndarray:
+    out = np.empty(np.broadcast_shapes(np.shape(re), np.shape(im)), dtype=complex)
+    out.real, out.imag = re, im
+    return out
+
+
+def chain_currents(events, velocities, q, charge: float = 1.0) -> ChainCurrents:
+    """current_fourier and soft_decompose of a batch of chains, as arrays.
+
+    events, shape (..., m + 1, 4), holds the start event, the m - 1 kinks and
+    the end event of each chain; velocities, shape (..., m, 4), the
+    four-velocity of each segment.  A chain of fewer segments is padded with
+    segments that repeat its last velocity for zero time, so its padded kinks
+    sit at the end event and their brackets are exact zeros.  q, shape (..., 4),
+    holds photon momenta (omega, omega n_hat) and broadcasts against the batch
+    shape: one q per chain, or a grid of q against one chain.
+
+    Each kink bracket V_after/(q.V_after) - V_before/(q.V_before) is formed
+    once and summed left to right, times e^{iq.X} for the full current and
+    times e^{iq.X} - 1 = -2 sin^2(q.X/2) + i sin(q.X) for the hard one, as in
+    _kink_sum; j_div and j_sub come from the endpoints, as in soft_decompose.
+    """
+    events = np.asarray(events, dtype=float)
+    velocities = np.asarray(velocities, dtype=float)
+    q = np.asarray(q, dtype=float)
+    if events.shape[-2] != velocities.shape[-2] + 1:
+        raise ValueError("a chain of m segments needs m + 1 events")
+    if not np.all(q[..., 0] > 0):
+        raise ValueError("photon frequency must be > 0")
+    q = q[..., None, :]  # against the segment or event axis
+
+    def dot(a):  # q.a in the order of FourVector.dot
+        q0, q1, q2, q3 = np.moveaxis(q, -1, 0)
+        return q0 * a[..., 0] - q1 * a[..., 1] - q2 * a[..., 2] - q3 * a[..., 3]
+
+    qv, qx = dot(velocities), dot(events)
+    scaled = velocities / qv[..., None]  # V/(q.V), once per segment
+    brackets = scaled[..., 1:, :] - scaled[..., :-1, :]
+    x = qx[..., 1:-1, None]
+    sin, cos, half = np.sin(x), np.cos(x), np.sin(x / 2)
+    expm1_re = -2 * half * half
+    # sum_k phase_k * bracket_k; the imaginary part sin(q.X_k) is shared
+    re = im = hard_re = np.zeros(brackets.shape[:-2] + (4,))
+    for k in range(brackets.shape[-2]):
+        b = brackets[..., k, :]
+        re = re + cos[..., k, :] * b
+        im = im + sin[..., k, :] * b
+        hard_re = hard_re + expm1_re[..., k, :] * b
+
+    def subleading(i):  # q_b (X^a V^b - V^a X^b)/(q.V) = X^a - V^a (q.X)/(q.V)
+        return events[..., i, :] - (qx[..., i] / qv[..., i])[..., None] * velocities[..., i, :]
+
+    sub = subleading(-1) - subleading(0)
+    # i charge (a + ib) = -charge b + i charge a
+    return ChainCurrents(
+        _complex(-(charge * im), charge * re),
+        _complex(0.0, charge * (scaled[..., -1, :] - scaled[..., 0, :])),
+        charge * sub,
+        _complex(-(charge * im) - charge * sub, charge * hard_re),
+    )
 
 
 def soft_factors(q: PhotonMomentum, x: FourVector, p: FourVector):

@@ -186,6 +186,9 @@ class WorldlineSegment(_SegmentFields):
         if not ut.real > 0:
             raise ValueError("four-velocity must be future-pointing")
         xt, xx, xy, xz = start_event
+        isfinite = math.isfinite
+        if not (isfinite(xt) and isfinite(xx) and isfinite(xy) and isfinite(xz)):
+            raise ValueError(f"segment start event must be finite, got {tuple(start_event)}")
         end = FourVector(
             xt + duration * ut, xx + duration * ux, xy + duration * uy, xz + duration * uz
         )

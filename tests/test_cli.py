@@ -9,9 +9,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from softdeco import cli, decoherence
+from softdeco import cli, currents, decoherence, kinematics
 
 
 def write_config(tmp_path, cfg, name="cfg.json"):
@@ -154,6 +155,26 @@ def test_unknown_key_in_a_block_rejected(tmp_path, capsys, key, source):
         cli.load_config(str(path), environ=env)
     assert cli.main(["gamma", "--config", str(path)], environ=env) == 1
     assert f"'{key}'" in capsys.readouterr().err
+
+
+def test_misspelled_top_level_block_rejected(tmp_path, capsys):
+    # {"cutof": ...} would leave the default cutoffs in force without a word
+    path = write_config(tmp_path, {**BASE, "cutof": {"omega_uv": 5.0}})
+    with pytest.raises(cli.ConfigError, match=re.escape("'cutof': unknown key")):
+        cli.load_config(path, environ={})
+    assert cli.main(["gamma", "--config", path], environ={}) == 1
+    assert "'cutof': unknown key" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["slit.a_0", "mirror.Zo"])
+def test_unknown_key_in_an_experiment_block_rejected_at_load(tmp_path, capsys, key):
+    # caught when the config loads, for every command, not only by estimate-slit
+    block, name = key.split(".")
+    path = write_config(tmp_path, {block: {name: 1.0}})
+    with pytest.raises(cli.ConfigError, match=re.escape(f"'{key}': unknown key")):
+        cli.load_config(path, environ={})
+    assert cli.main(["gamma", "--config", path], environ={}) == 1
+    assert f"'{key}': unknown key" in capsys.readouterr().err
 
 
 def test_variants_key_is_gone(tmp_path):
@@ -411,6 +432,57 @@ def test_check_command(capsys):
     out = capsys.readouterr().out
     assert "PASS  conservation_random_draws" in out
     assert "FAIL" not in out
+
+
+def _scalar_conservation(rng):
+    """The conservation check as one scalar kernel call per draw: the reference."""
+    worst = 0.0
+    for _ in range(200):
+        w = cli._random_worldline(rng)
+        n = rng.normal(size=3)
+        n /= np.linalg.norm(n)
+        q = kinematics.PhotonMomentum(float(10.0 ** rng.uniform(-2, 1)), n)
+        qv = q.four_vector()
+        triple = currents.soft_decompose(w, q)
+        full = currents.current_fourier(w, q)
+        scale = max(j.norm() for j in (full, triple.j_div, triple.j_sub))
+        for j in (full, triple.j_div, triple.j_sub, triple.j_hard):
+            worst = max(worst, abs(qv.dot(j)) / scale)
+    return worst
+
+
+@pytest.mark.parametrize("seed", [0, 5, 17])
+def test_conservation_check_leaves_the_generator_where_the_scalar_loop_does(seed):
+    # every later check line keeps its draws; the residual moves by round-off only
+    array_rng, scalar_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    ok, detail = cli._check_conservation(None, array_rng)
+    want = _scalar_conservation(scalar_rng)
+    assert array_rng.random() == scalar_rng.random()
+    assert array_rng.bit_generator.state == scalar_rng.bit_generator.state
+    got = float(detail.rsplit("= ", 1)[1])
+    assert ok and got <= 1e-12 and want <= 1e-12
+
+
+def test_random_chains_are_the_scalar_draws():
+    rng = np.random.default_rng(3)
+    events, velocities, q = cli._random_chains(np.random.default_rng(3), 200)
+    for i in range(200):
+        w = cli._random_worldline(rng)
+        n = rng.normal(size=3)
+        omega = float(10.0 ** rng.uniform(-2, 1))
+        segs = w.segments
+        pad = 4 - len(segs)
+        want_events = [s.start_event for s in segs] + [w.end_event] * (1 + pad)
+        want_velocities = [s.velocity for s in segs] + [segs[-1].velocity] * pad
+        assert np.allclose(events[i], want_events, rtol=1e-15, atol=1e-15)
+        assert np.allclose(velocities[i], want_velocities, rtol=1e-15, atol=0)
+        assert np.allclose(q[i], omega * np.append(1.0, n / np.linalg.norm(n)), rtol=1e-15, atol=0)
+
+
+@pytest.mark.parametrize("seed", range(50))
+def test_conservation_check_passes(seed):
+    ok, detail = cli._check_conservation(None, np.random.default_rng(seed))
+    assert ok, detail
 
 
 def test_estimate_slit(tmp_path, capsys):

@@ -10,6 +10,7 @@ from softdeco import (
     PhotonMomentum,
     Worldline,
     WorldlineSegment,
+    chain_currents,
     current_fourier,
     delta_current,
     delta_current_parts,
@@ -359,3 +360,71 @@ def test_dipole_hard_coefficient_matches_numpy_expm1():
     wts = np.concatenate([np.geomspace(1e-9, 1e4, 2001), 10.0 ** rng.uniform(-9, 4, 2000)])
     for wt in wts.tolist():
         assert dipole_coefficients(wt, 1.0)[2] == 2j * (-np.expm1(1j * wt) + 1j * wt)
+
+
+# ---------------------------------------------------------------------------
+# the array kernel against the scalar ones
+
+
+def _chain_arrays(w, m=None):
+    """Events and velocities of w, padded to m segments that repeat the last velocity."""
+    segs = w.segments
+    pad = (m or len(segs)) - len(segs)
+    events = [s.start_event for s in segs] + [w.end_event] * (1 + pad)
+    velocities = [s.velocity for s in segs] + [segs[-1].velocity] * pad
+    return np.array(events), np.array(velocities)
+
+
+@pytest.mark.parametrize("charge", [1.0, -2.5])
+def test_chain_currents_match_scalar_kernels(charge):
+    # one call on 1200 chains of 2 to 4 segments, padded to 4; each draw is
+    # held to 1e-13 of its own current scale, a bound set before measuring
+    rng = np.random.default_rng(1515)
+    draws = [(random_worldline(rng), random_momentum(rng)) for _ in range(1200)]
+    events, velocities = zip(*(_chain_arrays(w, 4) for w, _ in draws))
+    q = np.array([q.components() for _, q in draws])
+    got = chain_currents(np.array(events), np.array(velocities), q, charge)
+    assert [a.shape for a in got] == [(1200, 4)] * 4
+    for i, (w, qm) in enumerate(draws):
+        full = current_fourier(w, qm, charge)
+        triple = soft_decompose(w, qm, charge)
+        scale = max(full.norm(), triple.j_div.norm(), triple.j_sub.norm())
+        for arr, want in zip(got, (full, *triple)):
+            assert np.abs(arr[i] - np.array(want)).max() <= 1e-13 * scale
+
+
+def test_chain_currents_padding_keeps_the_bits():
+    rng = np.random.default_rng(16)
+    for _ in range(200):
+        w = random_worldline(rng, n_seg=2)
+        q = np.array(random_momentum(rng).components())
+        plain = chain_currents(*_chain_arrays(w), q)
+        padded = chain_currents(*_chain_arrays(w, 4), q)
+        for a, b in zip(plain, padded):
+            assert a.tobytes() == b.tobytes()
+
+
+def test_chain_currents_grid_of_momenta_against_one_chain():
+    rng = np.random.default_rng(17)
+    w = random_worldline(rng, n_seg=3)
+    events, velocities = _chain_arrays(w)
+    qs = np.array([random_momentum(rng).components() for _ in range(60)])
+    grid = chain_currents(events, velocities, qs.reshape(6, 10, 4))
+    assert [a.shape for a in grid] == [(6, 10, 4)] * 4
+    for i, q in enumerate(qs):
+        for a, b in zip(grid, chain_currents(events, velocities, q)):
+            assert a.reshape(60, 4)[i].tobytes() == b.tobytes()
+
+
+def test_chain_currents_single_segment_and_validation():
+    u = four_velocity([0.3, 0.2, 0.0])
+    w = Worldline([WorldlineSegment(FourVector(0.5, 0.1, 0.0, 0.0), u, 5.0)])
+    q = PhotonMomentum(1.0, [0.0, 0.0, 1.0])
+    got = chain_currents(*_chain_arrays(w), np.array(q.components()))
+    assert not got.full.any() and not got.j_div.any()
+    assert np.abs(got.j_sub).max() <= 1e-15 and np.abs(got.j_hard).max() <= 1e-15
+    events, velocities = _chain_arrays(w)
+    with pytest.raises(ValueError, match="frequency"):
+        chain_currents(events, velocities, np.zeros(4))
+    with pytest.raises(ValueError, match="events"):
+        chain_currents(events[:1], velocities, np.array(q.components()))

@@ -175,6 +175,19 @@ def test_segment_rejects_nonfinite_duration(duration):
         WorldlineSegment(FourVector.zero(), four_velocity([0.1, 0.0, 0.0]), duration)
 
 
+@pytest.mark.parametrize("component", ["t", "x", "y", "z"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_segment_rejects_nonfinite_start_event(component, bad):
+    # the constructor and _make agree: neither builds such a segment
+    u = four_velocity([0.1, 0.0, 0.0])
+    start = FourVector.zero()._replace(**{component: bad})
+    with pytest.raises(ValueError, match="start event"):
+        WorldlineSegment(start, u, 1.0)
+    fields = (start, u, 1.0, start + 1.0 * u)
+    with pytest.raises(ValueError):
+        WorldlineSegment._make(fields)
+
+
 def test_kinematic_components_are_python_floats():
     # the current kernels run on plain scalars only if their inputs do:
     # a numpy float64 component would turn every later operation into numpy
@@ -298,5 +311,10 @@ def test_worldline_rejects_nan_at_a_junction(component):
     u = four_velocity([0.0, 0.0, 0.0])
     s1 = WorldlineSegment(FourVector.zero(), u, 1.0)
     start = s1.end_event._replace(**{component: math.nan})
+    with pytest.raises(ValueError, match="start event"):
+        WorldlineSegment(start, u, 1.0)
+    # a segment stored without the check, as unpickling builds one, still
+    # fails the junction test
+    s2 = tuple.__new__(WorldlineSegment, (start, u, 1.0, start + 1.0 * u))
     with pytest.raises(ValueError, match="not continuous"):
-        Worldline([s1, WorldlineSegment(start, u, 1.0)])
+        Worldline([s1, s2])

@@ -18,8 +18,11 @@ from softdeco import (
 )
 from softdeco.decoherence import _gram_rows, _gram_split_rows
 from softdeco.numerics import (
+    _FREQ_BLOCK,
     _SPHERE_BLOCK,
     _TAIL_PERIODS,
+    _panel_edges,
+    _shared_rule,
     _sphere_grid,
     _spherical_jn,
     freq_integrate_rows,
@@ -267,6 +270,28 @@ def test_freq_integrate_rows_matches_scalar_passes():
         freq_integrate_rows(rows, [0.0, 2.0, 1.0], 1.0)
     with pytest.raises(ValueError):
         freq_integrate_rows(rows, [-1.0, 1.0], 1.0)
+
+
+def test_frequency_blocks_sum_like_one_array():
+    # the gamma_wideband segment: 269 panels of 36 nodes, not a whole number
+    # of blocks; each block is evaluated on its own, the sums run as before
+    tau, beta = 100.0, 300.0
+    edges = _panel_edges(1e-6, 2.0 * math.pi * _TAIL_PERIODS / tau, tau, 4)
+    x, wx = _shared_rule()
+    half = 0.5 * np.diff(edges)
+    nodes = (edges[:-1] + half)[:, None] + half[:, None] * x
+    assert nodes.size % _FREQ_BLOCK
+    calls = []
+
+    def rows(w):
+        calls.append(w.size)
+        return _gram_rows(w, tau, beta)
+
+    coarse, fine = freq_integrate_rows(rows, [edges[0], edges[-1]], tau)
+    assert max(calls) == _FREQ_BLOCK and sum(calls) == nodes.size
+    vals = _gram_rows(nodes.ravel(), tau, beta)
+    whole = half @ (vals.reshape(vals.shape[:-1] + nodes.shape) @ wx)
+    assert np.array_equal(coarse[0], whole[:, 0]) and np.array_equal(fine[0], whole[:, 1])
 
 
 def test_sphere_grid_is_cached_and_read_only():
