@@ -17,8 +17,6 @@ from .kinematics import (
 )
 from .currents import (
     SoftCurrentTriple,
-    ChainCurrents,
-    chain_currents,
     current_fourier,
     soft_decompose,
     soft_factors,

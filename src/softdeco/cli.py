@@ -424,14 +424,35 @@ def cmd_estimate_slit(cfg, out_path=None) -> int:
 # check command: named invariant suite
 
 
+# a random chain: 2 to _MAX_SEGMENTS segments from a start event in
+# _EVENT_RANGE^4, each a 3-velocity in _VELOCITY_RANGE^3 and a duration
+_MAX_SEGMENTS = 4
+_EVENT_RANGE, _VELOCITY_RANGE, _DURATION_RANGE = (-1.0, 1.0), (-0.5, 0.5), (0.1, 2.0)
+
+
+def _uniform(u, low_high):
+    """random() draws u mapped onto [low, high) as Generator.uniform maps them."""
+    low, high = low_high
+    return low + (high - low) * u
+
+
+def _chain_draw(rng):
+    """The raw draws of one random chain: its segment count n, then 4 + 4n random()s.
+
+    The first 4 are the start event; each segment then takes 3 for its
+    velocity and 1 for its duration, to be mapped by _uniform.
+    """
+    n = int(rng.integers(2, _MAX_SEGMENTS + 1))
+    return n, rng.random(4 + 4 * n)
+
+
 def _random_worldline(rng) -> kinematics.Worldline:
-    n_seg = int(rng.integers(2, 5))
-    event = kinematics.FourVector(*rng.uniform(-1.0, 1.0, size=4).tolist())
+    n_seg, u = _chain_draw(rng)
+    event = kinematics.FourVector(*_uniform(u[:4], _EVENT_RANGE).tolist())
     segments = []
-    for _ in range(n_seg):
-        v3 = rng.uniform(-0.5, 0.5, size=3)
-        vel = kinematics.four_velocity(v3)
-        dur = float(rng.uniform(0.1, 2.0))
+    for seg in u[4:].reshape(n_seg, 4):
+        vel = kinematics.four_velocity(_uniform(seg[:3], _VELOCITY_RANGE))
+        dur = float(_uniform(seg[3], _DURATION_RANGE))
         segments.append(kinematics.WorldlineSegment(event, vel, dur))
         event = segments[-1].end_event
     return kinematics.Worldline(segments)
@@ -441,27 +462,22 @@ def _loglog_slope(x, y):
     return float(np.polyfit(np.log(x), np.log(y), 1)[0])
 
 
-def _uniform(u, low, high):
-    """random() draws u mapped onto [low, high) as Generator.uniform maps them."""
-    return low + (high - low) * u
-
-
 def _random_chains(rng, count):
     """count draws of _random_worldline and of a photon momentum, as padded arrays.
 
-    Each draw makes the generator calls of _random_worldline, merged into one
-    random() call, then normal(size=3) for the direction and random() for
-    log10(omega) on [-2, 1], so the generator ends where the scalar draws
-    leave it.  Chains of fewer than 4 segments repeat their last velocity
-    for zero time.  Returns events (count, 5, 4), velocities (count, 4, 4)
-    and q (count, 4), in the layout of currents.chain_currents.
+    Each draw takes _random_worldline's _chain_draw, then normal(size=3) for
+    the direction and random() for log10(omega) on [-2, 1], so the generator
+    ends where the scalar draws leave it.  Chains of fewer than
+    _MAX_SEGMENTS segments repeat their last velocity for zero time.  Returns
+    events (count, m + 1, 4), velocities (count, m, 4) and q (count, 4), with
+    m = _MAX_SEGMENTS, in the layout of currents.chain_currents.
     """
-    m = 4  # integers(2, 5) draws at most 4 segments
+    m = _MAX_SEGMENTS
     n_seg, uniforms, normals, exponents = [], [], [], []
     for _ in range(count):
-        n = int(rng.integers(2, m + 1))
+        n, u = _chain_draw(rng)
         n_seg.append(n)
-        uniforms.append(rng.random(4 + 4 * n))
+        uniforms.append(u)
         normals.append(rng.normal(size=3))
         exponents.append(rng.random())
     n_seg = np.array(n_seg)
@@ -470,17 +486,18 @@ def _random_chains(rng, count):
     # a padded segment takes the draws of the chain's last one, for zero time
     last = np.minimum(np.arange(m), n_seg[:, None] - 1)
     segs = np.take_along_axis(raw[:, 4:].reshape(count, m, 4), last[..., None], axis=1)
-    v3 = _uniform(segs[..., :3], -0.5, 0.5)
-    duration = np.where(np.arange(m) < n_seg[:, None], _uniform(segs[..., 3], 0.1, 2.0), 0.0)
+    v3 = _uniform(segs[..., :3], _VELOCITY_RANGE)
+    live = np.arange(m) < n_seg[:, None]
+    duration = np.where(live, _uniform(segs[..., 3], _DURATION_RANGE), 0.0)
     gamma = 1.0 / np.sqrt(1.0 - (v3[..., 0] ** 2 + v3[..., 1] ** 2 + v3[..., 2] ** 2))
     velocities = np.concatenate([gamma[..., None], gamma[..., None] * v3], axis=-1)
     events = np.empty((count, m + 1, 4))
-    events[:, 0] = _uniform(raw[:, :4], -1.0, 1.0)
+    events[:, 0] = _uniform(raw[:, :4], _EVENT_RANGE)
     for k in range(m):
         events[:, k + 1] = events[:, k] + duration[:, k, None] * velocities[:, k]
     normals = np.array(normals)
     n_hat = normals / np.sqrt((normals**2).sum(axis=1, keepdims=True))
-    omega = 10.0 ** _uniform(np.array(exponents), -2.0, 1.0)
+    omega = 10.0 ** _uniform(np.array(exponents), (-2.0, 1.0))
     q = omega[:, None] * np.concatenate([np.ones((count, 1)), n_hat], axis=1)
     return events, velocities, q
 

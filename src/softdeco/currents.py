@@ -160,7 +160,7 @@ def _complex(re, im) -> np.ndarray:
     return out
 
 
-def chain_currents(events, velocities, q, charge: float = 1.0) -> ChainCurrents:
+def chain_currents(events, velocities, q) -> ChainCurrents:
     """current_fourier and soft_decompose of a batch of chains, as arrays.
 
     events, shape (..., m + 1, 4), holds the start event, the m - 1 kinks and
@@ -207,12 +207,12 @@ def chain_currents(events, velocities, q, charge: float = 1.0) -> ChainCurrents:
         return events[..., i, :] - (qx[..., i] / qv[..., i])[..., None] * velocities[..., i, :]
 
     sub = subleading(-1) - subleading(0)
-    # i charge (a + ib) = -charge b + i charge a
+    # i (a + ib) = -b + i a
     return ChainCurrents(
-        _complex(-(charge * im), charge * re),
-        _complex(0.0, charge * (scaled[..., -1, :] - scaled[..., 0, :])),
-        charge * sub,
-        _complex(-(charge * im) - charge * sub, charge * hard_re),
+        _complex(-im, re),
+        _complex(0.0, scaled[..., -1, :] - scaled[..., 0, :]),
+        sub,
+        _complex(-im - sub, hard_re),
     )
 
 

@@ -10,7 +10,6 @@ from softdeco import (
     PhotonMomentum,
     Worldline,
     WorldlineSegment,
-    chain_currents,
     current_fourier,
     delta_current,
     delta_current_parts,
@@ -19,6 +18,7 @@ from softdeco import (
     soft_decompose,
     soft_factors,
 )
+from softdeco.currents import chain_currents
 
 
 def _rng():
@@ -375,19 +375,18 @@ def _chain_arrays(w, m=None):
     return np.array(events), np.array(velocities)
 
 
-@pytest.mark.parametrize("charge", [1.0, -2.5])
-def test_chain_currents_match_scalar_kernels(charge):
+def test_chain_currents_match_scalar_kernels():
     # one call on 1200 chains of 2 to 4 segments, padded to 4; each draw is
     # held to 1e-13 of its own current scale, a bound set before measuring
     rng = np.random.default_rng(1515)
     draws = [(random_worldline(rng), random_momentum(rng)) for _ in range(1200)]
     events, velocities = zip(*(_chain_arrays(w, 4) for w, _ in draws))
     q = np.array([q.components() for _, q in draws])
-    got = chain_currents(np.array(events), np.array(velocities), q, charge)
+    got = chain_currents(np.array(events), np.array(velocities), q)
     assert [a.shape for a in got] == [(1200, 4)] * 4
     for i, (w, qm) in enumerate(draws):
-        full = current_fourier(w, qm, charge)
-        triple = soft_decompose(w, qm, charge)
+        full = current_fourier(w, qm)
+        triple = soft_decompose(w, qm)
         scale = max(full.norm(), triple.j_div.norm(), triple.j_sub.norm())
         for arr, want in zip(got, (full, *triple)):
             assert np.abs(arr[i] - np.array(want)).max() <= 1e-13 * scale
