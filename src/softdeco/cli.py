@@ -17,6 +17,7 @@ import json
 import math
 import os
 import sys
+from typing import NamedTuple
 
 import numpy as np
 
@@ -64,12 +65,6 @@ _BLOCK_KEYS = {
     "sweep": _SWEEP_KEYS,
     "slit": {f.name for f in dataclasses.fields(experiment.SlitGeometry)},
     "mirror": {f.name for f in dataclasses.fields(experiment.ParticleMirror)},
-}
-# a sweep sets one number of the run point
-_SWEEPABLE = {
-    f"{block}.{key}"
-    for block in ("geometry", "cutoffs", "charge", "quadrature")
-    for key in DEFAULT_CONFIG[block]
 }
 
 
@@ -157,28 +152,81 @@ def _check_keys(cfg: dict):
                 raise ConfigError(f"{block}.{unknown[0]}", "unknown key")
 
 
-def _validate(cfg: dict):
-    l = _require_number(cfg, "geometry.l", minimum=0.0)
-    tau = _require_number(cfg, "geometry.tau", minimum=0.0, strict=True)
-    if l / tau >= 1.0:
-        raise ConfigError("geometry.l", f"speed l/tau = {l / tau} must be < 1")
-    lam = _require_number(cfg, "cutoffs.lambda_ir", minimum=0.0)
-    uv = _require_number(cfg, "cutoffs.omega_uv", minimum=0.0, strict=True)
-    if lam >= uv:
+class _Bound(NamedTuple):
+    """What a number of the run point must be: >= minimum (> when strict), null or an integer."""
+
+    minimum: float | None = None
+    strict: bool = False
+    nullable: bool = False
+    integer: bool = False
+
+
+# every number of the run point, in the order _validate checks them; a sweep sets one
+_NUMBERS = {
+    "geometry.l": _Bound(0.0),
+    "geometry.tau": _Bound(0.0, strict=True),
+    "cutoffs.lambda_ir": _Bound(0.0),
+    "cutoffs.omega_uv": _Bound(0.0, strict=True),
+    "cutoffs.beta": _Bound(0.0, strict=True, nullable=True),
+    "charge.Q": _Bound(),
+    "charge.alpha": _Bound(0.0, strict=True),
+    "quadrature.n_theta": _Bound(8, integer=True),
+    "quadrature.n_phi": _Bound(16, integer=True),
+    "quadrature.panels_per_period": _Bound(4, integer=True),
+    "quadrature.rel_tol": _Bound(0.0, strict=True),
+    "quadrature.abs_tol": _Bound(0.0, strict=True),
+}
+
+
+def _check_number(cfg, key):
+    bound = _NUMBERS[key]
+    val = _require_number(cfg, key, bound.minimum, bound.strict, bound.nullable)
+    if bound.integer and val != int(val):
+        raise ConfigError(key, "must be an integer")
+
+
+def _number(cfg, key):
+    """A number of the run point that _check_number has passed."""
+    block, name = key.split(".")
+    return float(cfg[block][name])
+
+
+def _speed_below_light(cfg):
+    speed = _number(cfg, "geometry.l") / _number(cfg, "geometry.tau")
+    if speed >= 1.0:
+        raise ConfigError("geometry.l", f"speed l/tau = {speed} must be < 1")
+
+
+def _ir_below_uv(cfg):
+    if _number(cfg, "cutoffs.lambda_ir") >= _number(cfg, "cutoffs.omega_uv"):
         raise ConfigError("cutoffs.lambda_ir", "must be < cutoffs.omega_uv")
-    _require_number(cfg, "cutoffs.beta", minimum=0.0, strict=True, allow_none=True)
-    _require_number(cfg, "charge.Q")
-    _require_number(cfg, "charge.alpha", minimum=0.0, strict=True)
-    for key, lo in (
-        ("quadrature.n_theta", 8),
-        ("quadrature.n_phi", 16),
-        ("quadrature.panels_per_period", 4),
-    ):
-        val = _require_number(cfg, key, minimum=lo)
-        if val != int(val):
-            raise ConfigError(key, "must be an integer")
-    _require_number(cfg, "quadrature.rel_tol", minimum=0.0, strict=True)
-    _require_number(cfg, "quadrature.abs_tol", minimum=0.0, strict=True)
+
+
+# the limits that tie two numbers together, each with the numbers it reads
+_LIMITS = (
+    (("geometry.l", "geometry.tau"), _speed_below_light),
+    (("cutoffs.lambda_ir", "cutoffs.omega_uv"), _ir_below_uv),
+)
+
+
+def _validate_swept(cfg, key):
+    """Check a config that differs from a valid one only at key: key itself and the limits that read it.
+
+    This raises the ConfigError that _validate would raise on cfg.
+    """
+    _check_number(cfg, key)
+    for keys, limit in _LIMITS:
+        if key in keys:
+            limit(cfg)
+
+
+def _validate(cfg: dict):
+    for key in _NUMBERS:
+        _check_number(cfg, key)
+        # a limit is checked as soon as every number it reads has passed
+        for keys, limit in _LIMITS:
+            if keys[-1] == key:
+                limit(cfg)
     sweep = cfg.get("sweep")
     if sweep is not None:
         if not isinstance(sweep, dict):
@@ -192,7 +240,7 @@ def _validate(cfg: dict):
         if not isinstance(pts, int) or isinstance(pts, bool) or pts < 0:
             raise ConfigError("sweep.points", "must be a non-negative integer")
         param = sweep["parameter"]
-        if not isinstance(param, str) or param not in _SWEEPABLE:
+        if not isinstance(param, str) or param not in _NUMBERS:
             raise ConfigError("sweep.parameter", f"not a sweepable number: {param!r}")
         for key in ("sweep.start", "sweep.stop"):
             if _require_number(cfg, key) <= 0 and sweep["scale"] == "log":
@@ -318,7 +366,7 @@ def _sweep_row(cfg, param, value, passes):
     row["sweep_param"] = param
     row["value"] = _fmt(float(value))
     try:
-        _validate(point_cfg)
+        _validate_swept(point_cfg, param)
         report, summary = _compute_point(point_cfg, passes)
         cells = {
             "gamma_full": report.gamma_full,
@@ -545,7 +593,7 @@ def _check_sphere_identity(cfg, rng):
         def f(nx, ny, nz, v=v):
             return 1.0 / (1.0 - v * nz)
 
-        got = numerics.sphere_integrate(f, spec).value
+        got = numerics.sphere_integrate(f, spec, swap_xy=True).value
         want = 4.0 * math.pi * numerics.atanh_over_x(v)
         worst = max(worst, abs(got - want) / want)
     return worst <= 1e-8, f"max relative deviation {worst:.3e}"

@@ -25,9 +25,12 @@ keeps each pass under what it depends on: the angular QuadratureResult
 under v and the spec, and the frequency factors, already contracted to one
 QuadratureResult per variant, under tau, the cutoffs, the spec and the
 variants requested.  A report that finds both only multiplies them.  The
-bracket is even in nz, so the angular pass evaluates only half the sphere
-(sphere_integrate's even_z).  Nothing is kept at module level, so no result
-outlives the batch that made it.
+bracket is even in nz, and, because both arms move at the same speed v, one
+along y and one along x, symmetric under nx <-> ny; the angular pass
+declares both (sphere_integrate's even_z and swap_xy) and evaluates about a
+quarter of the sphere.  A geometry whose arms differ in speed breaks the
+second symmetry and must not declare it.  Nothing is kept at module level,
+so no result outlives the batch that made it.
 
 Hard is never a basis vector: c_sub and c_hard both grow like Omega tau, so
 a (sub, hard) basis would build dressed = ss + hh + 2 sh by cancelling terms
@@ -130,7 +133,8 @@ def angular_bracket(g: InterferometerGeometry):
     omega^2 [ 2 V1.V2 / ((q.V1)(q.V2)) - 1/(q.V1)^2 - 1/(q.V2)^2 ],
     which depends only on the direction.  With the y- and x-directed branch
     velocities this is nonnegative; it vanishes when v = 0.  It reads only
-    nx and ny, so it is even under nz -> -nz.
+    nx and ny, so it is even under nz -> -nz, and it treats them alike (the
+    arms have equal speeds), so it is symmetric under nx <-> ny to the bit.
     """
     v = g.v
 
@@ -146,7 +150,7 @@ def angular_bracket(g: InterferometerGeometry):
 def angular_integral(
     g: InterferometerGeometry, spec: QuadratureSpec = QuadratureSpec()
 ) -> QuadratureResult:
-    return sphere_integrate(angular_bracket(g), spec, even_z=True)
+    return sphere_integrate(angular_bracket(g), spec, even_z=True, swap_xy=True)
 
 
 def _gram_weight(omega, beta: float | None):

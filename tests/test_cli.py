@@ -294,6 +294,45 @@ def test_sweep_status_with_comma_stays_one_cell(tmp_path):
     assert text.splitlines()[2] == ",".join(rows[2])
 
 
+# a value of each number that breaks its bound, or a limit that reads it,
+# at the default point with lambda_ir = 1e-6 (l = 1, tau = 100, omega_uv = 10)
+_ROW_ERRORS = [
+    ("geometry.l", -1.0),
+    ("geometry.l", 150.0),  # l/tau >= 1
+    ("geometry.tau", 0.0),
+    ("geometry.tau", 0.5),  # l/tau >= 1
+    ("cutoffs.lambda_ir", -1e-6),
+    ("cutoffs.lambda_ir", 10.0),  # lambda_ir >= omega_uv
+    ("cutoffs.omega_uv", 0.0),
+    ("cutoffs.omega_uv", 1e-7),  # lambda_ir >= omega_uv
+    ("cutoffs.beta", 0.0),
+    ("charge.Q", math.inf),
+    ("charge.alpha", -0.1),
+    ("quadrature.n_theta", 7.0),
+    ("quadrature.n_theta", 8.5),
+    ("quadrature.n_phi", 15.0),
+    ("quadrature.n_phi", 96.5),
+    ("quadrature.panels_per_period", 3.0),
+    ("quadrature.panels_per_period", 4.25),
+    ("quadrature.rel_tol", 0.0),
+    ("quadrature.abs_tol", math.nan),
+]
+
+
+def test_row_errors_cover_every_number():
+    assert {key for key, _ in _ROW_ERRORS} == set(cli._NUMBERS)
+
+
+@pytest.mark.parametrize("key, value", _ROW_ERRORS)
+def test_sweep_row_reports_the_full_validation_error(key, value):
+    # a row checks only its key and the limits that read it, with the same message
+    cfg = cli.load_config(None, environ={"SOFTDECO_CUTOFFS_LAMBDA_IR": "1e-6"})
+    block, name = key.split(".")
+    with pytest.raises(cli.ConfigError) as exc:
+        cli._validate({**cfg, block: {**cfg[block], name: value}})
+    assert cli._sweep_row(cfg, key, value, {})["status"] == f"error: {exc.value}"
+
+
 # a small point with an IR cutoff, so that every row reports all four
 # variants, and with Omega tau above the panelled periods, so that the
 # frequency pass runs both of its rules

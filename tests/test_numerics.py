@@ -169,12 +169,23 @@ def test_sphere_blocks_sum_like_one_array():
 
 
 _MIRROR_SPEEDS = (1e-6, 0.05, 0.5, 0.9, 0.98, 0.995)
+# columns of a ring that the reflection nx <-> ny maps onto themselves (phi = pi/4
+# or 5 pi/4 is a node), for each n_phi of the tests and its doubled grid
+_FIXED_COLUMNS = {16: 2, 32: 2, 30: 0, 60: 0, 96: 2, 192: 2, 97: 1, 194: 2}
+
+
+def _evaluated(n_theta, n_phi, even_z, swap_xy):
+    """Nodes a pass evaluates: rings with cos(theta) <= 0, one column per nx <-> ny orbit."""
+    rings = n_theta - n_theta // 2 if even_z else n_theta
+    cols = (n_phi + _FIXED_COLUMNS[n_phi]) // 2 if swap_xy else n_phi
+    return rings * cols
 
 
 @pytest.mark.parametrize("n_theta", [8, 9, 48, 49, 61])
 @pytest.mark.parametrize("n_phi", [16, 30, 96, 97])
 def test_sphere_even_z_is_the_full_pass(n_theta, n_phi):
-    # the velocity bracket of the x- and y-directed arms, even in nz
+    # the velocity bracket of the x- and y-directed arms, even in nz and
+    # symmetric under nx <-> ny
     spec = QuadratureSpec(n_theta=n_theta, n_phi=n_phi)
     calls = []
     for v in _MIRROR_SPEEDS:
@@ -186,11 +197,15 @@ def test_sphere_even_z_is_the_full_pass(n_theta, n_phi):
 
         full = sphere_integrate(f, spec)
         del calls[:]
-        mirrored = sphere_integrate(f, spec, even_z=True)
-        assert mirrored == full, (v, mirrored, full)
-        # only the rings with cos(theta) <= 0: the equator too when n_theta is odd
-        assert sum(calls) == (n_theta - n_theta // 2) * n_phi + n_theta * 2 * n_phi
-        del calls[:]
+        for even_z, swap_xy in [(True, False), (False, True), (True, True)]:
+            mirrored = sphere_integrate(f, spec, even_z=even_z, swap_xy=swap_xy)
+            assert mirrored == full, (v, even_z, swap_xy, mirrored, full)
+            # only the rings with cos(theta) <= 0: the equator too when n_theta is
+            # odd; only one column of each mirrored pair, and the fixed columns
+            assert sum(calls) == _evaluated(n_theta, n_phi, even_z, swap_xy) + _evaluated(
+                2 * n_theta, 2 * n_phi, even_z, swap_xy
+            )
+            del calls[:]
 
 
 def test_sphere_grid_mirrored_rings_share_nx_ny():
@@ -201,6 +216,22 @@ def test_sphere_grid_mirrored_rings_share_nx_ny():
         assert np.all(nz[: n_theta // 2] < 0), n_theta
         if n_theta % 2:
             assert np.all(nz[n_theta // 2] == 0.0), n_theta
+    # column k' = (n_phi // 4 - k) mod n_phi is column k reflected in the plane x = y
+    for n_phi in range(16, 201):
+        nx, ny, nz, w = (a.reshape(9, n_phi) for a in _sphere_grid(9, n_phi))
+        mirror = (n_phi // 4 - np.arange(n_phi)) % n_phi
+        assert np.array_equal(nx, ny[:, mirror]) and np.array_equal(ny, nx[:, mirror]), n_phi
+        phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
+        s = np.sqrt(1.0 - nz[:, :1] ** 2)
+        if n_phi % 4 == 0:
+            # the node set phi_k = 2 pi k / n_phi, with nx to the bit
+            assert np.array_equal(nx, np.outer(s, np.cos(phi))), n_phi
+            assert np.abs(ny - np.outer(s, np.sin(phi))).max() <= 2e-15, n_phi
+        else:
+            # the same ring turned by pi (n_phi mod 4) / (4 n_phi)
+            turned = phi + np.pi * (n_phi % 4) / (4 * n_phi)
+            assert np.abs(nx - np.outer(s, np.cos(turned))).max() <= 2e-15, n_phi
+            assert np.abs(ny - np.outer(s, np.sin(turned))).max() <= 2e-15, n_phi
 
 
 @given(st.floats(0.05, 0.95))
