@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from softdeco import (
     FourVector,
     InterferometerGeometry,
     PhotonMomentum,
+    SoftCurrentTriple,
     Worldline,
     WorldlineSegment,
     current_fourier,
@@ -310,7 +312,7 @@ def _ref_soft(w, q, charge):
     return j_div, j_sub, (1j * charge) * acc - j_sub
 
 
-def _ref_delta(g, q, mode, charge):
+def _ref_delta(g, q, mode, charge, include_detector=False):
     qv = q.four_vector()
     B = _ref_bracket(g.Xdot_1, g.Xdot_2, qv)
     if mode == "exact":
@@ -319,8 +321,12 @@ def _ref_delta(g, q, mode, charge):
             - cmath.exp(1j * qv.dot(g.X_L))
             - cmath.exp(1j * qv.dot(g.X_R))
         )
+        if include_detector:
+            phases += cmath.exp(1j * qv.dot(g.detector))
     else:
         phases = 1.0 - 2.0 * cmath.exp(1j * q.omega * g.tau)
+        if include_detector:
+            phases += cmath.exp(2j * q.omega * g.tau)
     return (1j * charge * phases) * B
 
 
@@ -332,13 +338,16 @@ def _ref_parts(g, q, charge):
 
 
 def _same(got, want):
-    return (got.t, got.x, got.y, got.z) == (want.t, want.x, want.y, want.z)
+    """Same type and the same bits in every component, signed zeros included."""
+    return type(got) is FourVector and list(map(repr, got)) == list(map(repr, want))
 
 
 def test_scalar_kernels_bit_identical_to_fourvector_route():
     rng = np.random.default_rng(2024)
-    for _ in range(200):
-        w = random_worldline(rng)
+    # 2 to 4 segments as random_worldline draws them, and the lengths it never
+    # draws: one segment, whose last q.V is its first, and five or six
+    for n_seg in [None] * 200 + [1, 5, 6] * 50:
+        w = random_worldline(rng, n_seg)
         q = random_momentum(rng, omega=float(10.0 ** rng.uniform(-6, 2)))
         charge = float(rng.uniform(-2.0, 2.0))
         tau = float(rng.uniform(0.5, 50.0))
@@ -346,12 +355,15 @@ def test_scalar_kernels_bit_identical_to_fourvector_route():
 
         assert _same(current_fourier(w, q, charge), _ref_current(w, q, charge))
         triple = soft_decompose(w, q, charge)
-        for got, want in zip((triple.j_div, triple.j_sub, triple.j_hard), _ref_soft(w, q, charge)):
+        assert type(triple) is SoftCurrentTriple
+        for got, want in zip(triple, _ref_soft(w, q, charge)):
             assert _same(got, want)
-        for mode in ("exact", "dipole"):
-            assert _same(delta_current(g, q, mode, charge), _ref_delta(g, q, mode, charge))
+        for mode, detector in itertools.product(("exact", "dipole"), (False, True)):
+            got = delta_current(g, q, mode, charge, include_detector=detector)
+            assert _same(got, _ref_delta(g, q, mode, charge, detector))
         parts = delta_current_parts(g, q, charge)
-        for got, want in zip((parts.j_div, parts.j_sub, parts.j_hard), _ref_parts(g, q, charge)):
+        assert type(parts) is SoftCurrentTriple
+        for got, want in zip(parts, _ref_parts(g, q, charge)):
             assert _same(got, want)
 
 

@@ -84,6 +84,41 @@ def test_worldline_continuity():
         Worldline([])
 
 
+def test_worldline_measures_the_gap_between_distinct_events():
+    # a segment that starts at the previous end event itself skips the gap
+    # arithmetic; an equal or nearby copy of that event is still measured
+    u = four_velocity([0.0, 0.0, 0.0])
+    s1 = WorldlineSegment(FourVector.zero(), u, 0.5)
+    end = s1.end_event
+    same = WorldlineSegment(FourVector(*end), u, 1.0)
+    assert same.start_event == end and same.start_event is not end
+    Worldline([s1, same])
+    # |end| = 0.5, so the tolerance is the bare 1e-12
+    for component in ("t", "x", "y", "z"):
+        off = end._replace(**{component: getattr(end, component) + 2e-12})
+        with pytest.raises(ValueError, match="not continuous"):
+            Worldline([s1, WorldlineSegment(off, u, 1.0)])
+
+
+def test_worldline_kinks_join_the_segments():
+    u1, u2, u3 = (four_velocity(v) for v in ([0.3, 0.0, 0.0], [0.0, 0.3, 0.0], [0.0, 0.0, 0.3]))
+    s1 = WorldlineSegment(FourVector(0.1, 0.2, -0.3, 0.4), u1, 2.0)
+    s2 = WorldlineSegment(s1.end_event, u2, 3.0)
+    s3 = WorldlineSegment(FourVector(*s2.end_event), u3, 0.5)
+    w = Worldline([s1, s2, s3])
+    kinks = w.kinks()
+    assert kinks == ((s2.start_event, u1, u2), (s3.start_event, u2, u3))
+    for (event, before, after), a, b in zip(kinks, (s1, s2), (s2, s3)):
+        assert event is b.start_event and before is a.velocity and after is b.velocity
+    assert w.kinks() is kinks
+    assert Worldline([s1]).kinks() == ()
+    # the stored kinks take no part in equality, hashing or pickling
+    fresh = Worldline([s1, s2, s3])
+    assert fresh == w and hash(fresh) == hash(w)
+    back = pickle.loads(pickle.dumps(w))
+    assert back == w and back.kinks() == kinks
+
+
 def test_worldline_accessors():
     u1 = four_velocity([0.3, 0.0, 0.0])
     s1 = WorldlineSegment(FourVector.zero(), u1, 2.0)
@@ -97,7 +132,7 @@ def test_worldline_accessors():
     event, before, after = kinks[0]
     assert before is u1 and after is u2
     assert event is s1.end_event is s2.start_event
-    assert w.kinks() is kinks  # built once, with the worldline
+    assert w.kinks() is kinks  # built once, on the first call
 
 
 def test_geometry_derived_fields():

@@ -357,9 +357,9 @@ def test_gram_rows_vs_mpmath_on_the_filon_tail(wt):
     dd = fine[1, 0]
     ss, DD, sD = fine[:, 1:].sum(axis=0)
     cin = mpmath.euler + mpmath.log(wt) - mpmath.ci(wt)
-    assert DD == pytest.approx(float(8 * cin), rel=1e-13)
-    assert dd == pytest.approx(math.log(omega / lam), rel=1e-13)
-    assert ss == pytest.approx(2.0 * wt * wt, rel=1e-13)
+    assert DD == pytest.approx(float(8 * cin), rel=1e-13, abs=0)
+    assert dd == pytest.approx(math.log(omega / lam), rel=1e-13, abs=0)
+    assert ss == pytest.approx(2.0 * wt * wt, rel=1e-13, abs=0)
     if wt <= 1e6:
         # cos(Omega tau) itself is known to ~ Omega tau * 1e-16 only
         assert sD == pytest.approx(4.0 * (1.0 - math.cos(wt)), abs=1e-9)
@@ -401,7 +401,7 @@ def test_thermal_rows_across_the_split_match_a_panel_only_pass(beta):
     breaks = [1e-6, wt / tau]
     hybrid = _gram_pass(breaks, tau, beta)[1][0]
     panels = _gram_pass(breaks, tau, beta, hybrid=False)[1][0]
-    assert hybrid[:3] == pytest.approx(panels[:3], rel=1e-12)
+    assert hybrid[:3] == pytest.approx(panels[:3], rel=1e-12, abs=0)
     # sD = 4 tau sin(w tau) [coth] cancels over every period: at beta = 100 the
     # panel-only sum is itself 1.5e-11 off (mpmath), the hybrid one 3e-12
     assert hybrid[3] == pytest.approx(panels[3], abs=1e-10)
@@ -426,6 +426,6 @@ def test_filon_tail_is_exact_for_polynomial_amplitudes():
         return (w**3 - 6 * w) * mpmath.sin(w) + (3 * w**2 - 6) * mpmath.cos(w)
 
     want = float(antiderivative(hi) - antiderivative(lo))
-    assert fine[0, 0] == pytest.approx((hi**3 - lo**3) / 3.0, rel=1e-14)
-    assert fine[0, 1] == pytest.approx(want, rel=1e-12)
-    assert coarse[0] == pytest.approx(fine[0], rel=1e-12)
+    assert fine[0, 0] == pytest.approx((hi**3 - lo**3) / 3.0, rel=1e-14, abs=0)
+    assert fine[0, 1] == pytest.approx(want, rel=1e-12, abs=0)
+    assert coarse[0] == pytest.approx(fine[0], rel=1e-12, abs=0)
