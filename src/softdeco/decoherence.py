@@ -135,14 +135,28 @@ def angular_bracket(g: InterferometerGeometry):
     velocities this is nonnegative; it vanishes when v = 0.  It reads only
     nx and ny, so it is even under nz -> -nz, and it treats them alike (the
     arms have equal speeds), so it is symmetric under nx <-> ny to the bit.
+    f evaluates 2 / (d1 d2) - (1 - v^2) (1 / d1^2 + 1 / d2^2) operation by
+    operation in that order, in three temporaries that it overwrites in place.
     """
     v = g.v
+    c = 1.0 - v * v
 
     def f(nx, ny, nz):
-        d1 = 1.0 - v * ny  # (q.V1)/(omega gamma)
-        d2 = 1.0 - v * nx
         # V1.V2 = gamma^2 (1 - v1.v2) = gamma^2 here (orthogonal velocities)
-        return 2.0 / (d1 * d2) - (1.0 - v * v) * (1.0 / d1**2 + 1.0 / d2**2)
+        d1 = v * ny
+        np.subtract(1.0, d1, out=d1)  # (q.V1)/(omega gamma)
+        d2 = v * nx
+        np.subtract(1.0, d2, out=d2)
+        out = d1 * d2
+        np.divide(2.0, out, out=out)
+        d1 *= d1
+        np.divide(1.0, d1, out=d1)
+        d2 *= d2
+        np.divide(1.0, d2, out=d2)
+        d1 += d2
+        d1 *= c
+        out -= d1
+        return out
 
     return f
 

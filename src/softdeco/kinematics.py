@@ -133,16 +133,19 @@ class _PhotonFields(NamedTuple):
 
 
 class PhotonMomentum(_PhotonFields):
-    """Null momentum q = omega*(1, n_hat) with omega >= 0 and |n_hat| = 1."""
+    """Null momentum q = omega*(1, n_hat), omega >= 0, n_hat three components of norm 1."""
 
     __slots__ = ()
 
     def __new__(cls, omega: float, n_hat):
         if not (math.isfinite(omega) and omega >= 0):
             raise ValueError(f"photon frequency must be finite and >= 0, got {omega}")
+        n = np.array(n_hat, dtype=float)
+        if n.shape != (3,):
+            got = n.size if n.ndim == 1 else f"shape {n.shape}"
+            raise ValueError(f"direction must have 3 components, got {got}")
         # |n| as np.linalg.norm computes it: sqrt of one ndarray dot, kept for
         # the same reason as |v3|^2 in four_velocity
-        n = np.array(n_hat, dtype=float)
         mag = math.sqrt(float(n.dot(n)))
         if not math.isclose(mag, 1.0, rel_tol=0.0, abs_tol=1e-9):
             raise ValueError(f"direction must be a unit vector, got |n| = {mag}")

@@ -4,32 +4,39 @@ Two integrators carry all of the numerical work: a product Gauss-Legendre x
 trapezoid rule on the unit sphere, and a Gauss-Legendre rule on frequency
 intervals.  Both report an error gauge obtained by doubling the resolution.
 
-The sphere rule calls its integrand on blocks of _SPHERE_BLOCK = 8192 nodes.
-A whole fine grid (96 x 192 nodes) would make every temporary of the
-integrand 147 KB, above glibc's 128 KB mmap threshold, so each one would be
-mapped afresh and page-faulted; a 64 KB block reuses the heap, and holds
-the whole fine quarter of a mirrored pass (4,656 nodes) in one call.  The
-weighted values are still summed as one array, so the result does not move
-a bit.  An integrand declared even under nz -> -nz (sphere_integrate's
-even_z; the angular bracket of two velocities in the xy-plane is one) is
-evaluated only on the rings with cos(theta) <= 0, the equator included
-when n_theta is odd.  The Gauss-Legendre nodes are antisymmetric to the
-bit, so the mirrored ring has the same nx and ny, and its values are
-copied over before the one sum: half the evaluations, the same bits.
+The sphere rule evaluates its integrand once per pass, on the nodes of the
+grid and of its doubled grid together, in blocks of _SPHERE_BLOCK = 8192
+nodes.  A whole fine grid (96 x 192 nodes) would make every temporary of
+the integrand 147 KB, above glibc's 128 KB mmap threshold, so each one
+would be mapped afresh and page-faulted; a 64 KB block reuses the heap, and
+holds both quarters of a mirrored pass (1,176 + 4,656 nodes) in one call.
 
-An integrand declared symmetric under nx <-> ny (swap_xy; the bracket of
-two arms of equal speed along x and y is one) is evaluated on about half
-of each ring's columns.  The ring is phi_k = 2 pi k / n + pi (n mod 4) /
-(4n), so that the reflection phi -> pi/2 - phi maps node k onto node
+An integrand declared even under nz -> -nz (sphere_integrate's even_z; the
+angular bracket of two velocities in the xy-plane is one) is evaluated only
+on the rings with cos(theta) <= 0, the equator included when n_theta is
+odd.  The Gauss-Legendre nodes are antisymmetric and the weights symmetric
+to the bit, so the mirrored ring has the same nx, ny and weight.  An
+integrand declared symmetric under nx <-> ny (swap_xy; the bracket of two
+arms of equal speed along x and y is one) is evaluated on about half of
+each ring's columns.  The ring is phi_k = 2 pi k / n + pi (n mod 4) / (4n),
+so that the reflection phi -> pi/2 - phi maps node k onto node
 k' = (n // 4 - k) mod n; ny of node k is set to nx of node k', so the two
 columns hold the same numbers swapped, to the bit.  When 4 divides n the
 offset is 0 and the nodes, nx and nz are those of phi_k = 2 pi k / n,
 while ny differs from s sin(phi_k) by round-off (under 2e-15).  The rule
 evaluates the arc of columns from phi = pi/4 to 5 pi/4, which holds each
-column that the reflection fixes and one column of each mirrored pair,
-and copies the values to the mirrored columns, then to the mirrored
-rings, before the same one sum.  With both symmetries a default pass
-(48 x 96, gauged on 96 x 192) evaluates 1,176 + 4,656 nodes, not 11,520.
+column that the reflection fixes and one column of each mirrored pair.
+
+Each evaluated node stands for its orbit under the declared mirrors, and
+its value is multiplied by an orbit weight: its grid weight times the size
+of the orbit, exactly 1, 2 or 4.  Where a mirror is not declared, the
+values of the mirror-image nodes are added onto those of the quarter, the
+mirrored rings first and then the mirrored columns, and each grid's
+quarter is summed once.  For an integrand with the symmetry, an orbit of
+equal values x so sums to x + x = 2x or (x + x) + (x + x) = 4x, to the bit
+what the orbit weight gives: declaring a symmetry changes the work, never
+the result.  With both symmetries a default pass (48 x 96, gauged on
+96 x 192) evaluates 1,176 + 4,656 nodes, not 23,040, and sums only those.
 
 The frequency rule has two regimes.  Over the first 64 periods 2*pi/tau it
 uses panels aligned to the period, so its cost there is fixed.  Above them,
@@ -197,14 +204,16 @@ def _sphere_grid(n_theta: int, n_phi: int):
     """Nodes and weights of the sphere rule; cached, so returned read-only.
 
     Ring i and ring n_theta - 1 - i lie at cos(theta) = -u and u and share
-    their nx and ny to the bit, which the mirrored pass relies on.  The ring
-    is phi_k = 2 pi k / n_phi + pi (n_phi mod 4) / (4 n_phi), so that
-    pi/2 - phi_k is the node k' of _phi_mirror, and ny of node k is nx of
-    node k': column k' holds the nx and ny of column k swapped, to the bit.
+    their nx, ny and weight to the bit, which the mirrored pass relies on.
+    The ring is phi_k = 2 pi k / n_phi + pi (n_phi mod 4) / (4 n_phi), so
+    that pi/2 - phi_k is the node k' of _phi_mirror, and ny of node k is nx
+    of node k': column k' holds the nx and ny of column k swapped, to the bit.
     """
     u, wu = np.polynomial.legendre.leggauss(n_theta)  # u = cos(theta), ascending
-    # exact antisymmetry; a no-op on leggauss's nodes, which are symmetrised
+    # exact antisymmetry of the nodes and symmetry of the weights; a no-op on
+    # leggauss's output, which is symmetrised
     u = 0.5 * (u - u[::-1])
+    wu = 0.5 * (wu + wu[::-1])
     phi = 2.0 * np.pi * np.arange(n_phi) / n_phi + np.pi * (n_phi % 4) / (4 * n_phi)
     s = np.sqrt(1.0 - u * u)
     nx = np.outer(s, np.cos(phi))
@@ -229,51 +238,88 @@ def _orbit_columns(n_phi: int) -> tuple[int, int]:
     return (m + 1) // 2, (m + n_phi) // 2 + 1
 
 
+def _pass_shape(n_theta: int, n_phi: int, even_z: bool, swap_xy: bool):
+    """Rings and columns lo..hi - 1 of the grid that a pass evaluates."""
+    rings = n_theta - n_theta // 2 if even_z else n_theta
+    lo, hi = _orbit_columns(n_phi) if swap_xy else (0, n_phi)
+    return rings, lo, hi
+
+
 @functools.lru_cache(maxsize=16)
 def _sphere_orbits(n_theta: int, n_phi: int, even_z: bool, swap_xy: bool):
-    """The nodes a mirrored pass evaluates, as contiguous read-only arrays.
+    """Nodes and orbit weights of a pass, both grids in one read-only array each.
 
     Under even_z the rings with cos(theta) <= 0, under swap_xy the columns
-    of _orbit_columns, in the row-major order of the grid.
+    of _orbit_columns, row-major, of the n_theta x n_phi grid and then of its
+    doubled grid.  A node's orbit weight is its grid weight w times the
+    number of nodes that the declared mirrors map it to: 2 for a ring off
+    the equator under even_z, 2 for a column off phi = pi/4, 5 pi/4 under
+    swap_xy, and the product of the two, so exactly 1, 2 or 4.
     """
-    half = n_theta - n_theta // 2 if even_z else n_theta
-    lo, hi = _orbit_columns(n_phi) if swap_xy else (0, n_phi)
-    nodes = []
-    for a in _sphere_grid(n_theta, n_phi)[:3]:
-        nodes.append(np.ascontiguousarray(a.reshape(n_theta, n_phi)[:half, lo:hi]).ravel())
-        nodes[-1].flags.writeable = False
-    return nodes
+    parts = ([], [], [], [])
+    for nt, nph in ((n_theta, n_phi), (2 * n_theta, 2 * n_phi)):
+        rings, lo, hi = _pass_shape(nt, nph, even_z, swap_xy)
+        times = np.ones((rings, hi - lo))
+        if even_z:
+            times[: nt // 2] *= 2.0
+        if swap_xy:
+            times[:, _phi_mirror(nph)[lo:hi] != np.arange(lo, hi)] *= 2.0
+        nx, ny, nz, w = (a.reshape(nt, nph)[:rings, lo:hi] for a in _sphere_grid(nt, nph))
+        for part, a in zip(parts, (nx, ny, nz, w * times)):
+            part.append(a.ravel())
+    arrays = tuple(np.concatenate(part) for part in parts)
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+def _fold_rings(vals: np.ndarray) -> np.ndarray:
+    """Add ring n_theta - 1 - i onto ring i; the rings with cos(theta) <= 0, in place."""
+    n_theta = vals.shape[0]
+    rings = n_theta - n_theta // 2
+    vals[: n_theta // 2] += vals[rings:][::-1]
+    return vals[:rings]
+
+
+def _fold_columns(vals: np.ndarray) -> np.ndarray:
+    """Add each column outside the _orbit_columns arc onto its mirror in it; a new array."""
+    n_phi = vals.shape[1]
+    m, (lo, hi) = n_phi // 4, _orbit_columns(n_phi)
+    arc = vals[:, lo:hi].copy()
+    # column j < lo mirrors onto column m - j, j >= hi onto m - j + n_phi
+    arc[:, m + 1 - 2 * lo : m + 1 - lo] += vals[:, :lo][:, ::-1]
+    arc[:, m + 1 - lo : m + 1 - lo + n_phi - hi] += vals[:, hi:][:, ::-1]
+    return arc
 
 
 def _sphere_pass(f, n_theta, n_phi, even_z=False, swap_xy=False):
-    """np.sum(w * f(nx, ny, nz)), with f called on blocks of _SPHERE_BLOCK nodes.
+    """Sums of w f(nx, ny, nz) over the n_theta x n_phi grid and its doubled one.
 
-    The temporaries of f stay block-sized, while the weighted values are
-    summed as one array, in the same pairwise order as the unblocked sum.
-    With swap_xy, f is called on the columns of _orbit_columns and each value
-    is copied to the mirrored column; with even_z, only on the rings with
-    cos(theta) <= 0, and each value is then copied to the mirrored ring.
+    f is called on the nodes of _sphere_orbits, in blocks of _SPHERE_BLOCK;
+    the values are multiplied by the orbit weights.  For each mirror that is
+    not declared, the mirror image of every value is added onto the quarter,
+    rings first and then columns, and each grid's quarter is summed by one
+    np.sum: an orbit of equal values x sums to x + x = 2x or (x + x) + (x + x)
+    = 4x, as its orbit weight gives, so declaring a symmetry that f has moves
+    no bit.  Returns (coarse, fine).
     """
-    w = _sphere_grid(n_theta, n_phi)[3]
-    nx, ny, nz = _sphere_orbits(n_theta, n_phi, even_z, swap_xy)
+    nx, ny, nz, w = _sphere_orbits(n_theta, n_phi, even_z, swap_xy)
     vals = np.empty_like(w)
-    rings = vals.reshape(n_theta, n_phi)
-    half = n_theta - n_theta // 2 if even_z else n_theta
-    fvals = np.empty_like(nx) if swap_xy else vals[: nx.size]
-    for start in range(0, nx.size, _SPHERE_BLOCK):
+    for start in range(0, w.size, _SPHERE_BLOCK):
         block = slice(start, start + _SPHERE_BLOCK)
-        fvals[block] = f(nx[block], ny[block], nz[block])
-    if swap_xy:
-        m, (lo, hi) = n_phi // 4, _orbit_columns(n_phi)
-        evaluated, top = fvals.reshape(half, hi - lo), rings[:half]
-        top[:, lo:hi] = evaluated
-        # column j copies column m - j (mod n_phi), column m - j - lo of evaluated
-        top[:, :lo] = evaluated[:, m + 1 - 2 * lo : m + 1 - lo][:, ::-1]
-        top[:, hi:] = evaluated[:, m + 1 - lo : m + 1 - lo + n_phi - hi][:, ::-1]
-    if even_z:
-        rings[half:] = rings[: n_theta // 2][::-1]
+        vals[block] = f(nx[block], ny[block], nz[block])
     vals *= w
-    return float(np.sum(vals))
+    sums, start = [], 0
+    for nt, nph in ((n_theta, n_phi), (2 * n_theta, 2 * n_phi)):
+        rings, lo, hi = _pass_shape(nt, nph, even_z, swap_xy)
+        quarter = vals[start : start + rings * (hi - lo)].reshape(rings, hi - lo)
+        start += quarter.size
+        if not even_z:
+            quarter = _fold_rings(quarter)
+        if not swap_xy:
+            quarter = _fold_columns(quarter)
+        sums.append(float(np.sum(quarter)))
+    return sums
 
 
 def sphere_integrate(
@@ -282,19 +328,22 @@ def sphere_integrate(
     """Integrate f(nx, ny, nz) over the unit sphere.
 
     f must accept numpy arrays of direction components and act on them
-    elementwise: it is called once per block of nodes.  Gauss-Legendre in
-    cos(theta) and periodic trapezoid in phi converge spectrally for smooth
-    integrands; the error gauge compares against a doubled grid.  even_z
-    declares f even under nz -> -nz, so that only the rings with
-    cos(theta) <= 0 are evaluated; swap_xy declares f symmetric under
-    nx <-> ny, so that only one column of each mirrored pair is.  With both,
-    f sees about a quarter of the nodes.  For an f that reads nz only through
-    an even function, or not at all, and whose arithmetic treats nx and ny
-    alike (the same operations, commutative ones where they meet), the result
-    is the same bits as without.
+    elementwise: it is called once per block of nodes, on the grid and its
+    doubled grid together.  Gauss-Legendre in cos(theta) and periodic
+    trapezoid in phi converge spectrally for smooth integrands; the error
+    gauge compares against the doubled grid.  even_z declares f even under
+    nz -> -nz, so that only the rings with cos(theta) <= 0 are evaluated;
+    swap_xy declares f symmetric under nx <-> ny, so that only one column of
+    each mirrored pair is.  With both, f sees about a quarter of the nodes.
+    Each evaluated value is weighed by its orbit under the declared mirrors
+    (1, 2 or 4 nodes); the values of an undeclared mirror's images are added
+    onto the quarter instead, so every pass sums the same quarter in the
+    same order.  For an f that reads nz only through an even function, or
+    not at all, and whose arithmetic treats nx and ny alike (the same
+    operations, commutative ones where they meet), the result is the same
+    bits as without.
     """
-    coarse = _sphere_pass(f, spec.n_theta, spec.n_phi, even_z, swap_xy)
-    fine = _sphere_pass(f, 2 * spec.n_theta, 2 * spec.n_phi, even_z, swap_xy)
+    coarse, fine = _sphere_pass(f, spec.n_theta, spec.n_phi, even_z, swap_xy)
     return QuadratureResult.from_pair(coarse, fine, spec)
 
 

@@ -224,6 +224,39 @@ def test_angular_integral_mirrored_is_the_full_pass(n_theta, n_phi):
         assert angular_integral(g, spec) == full, v
 
 
+def test_default_angular_pass_is_one_integrand_call(monkeypatch):
+    # the rings with cos(theta) <= 0 and one column of each nx <-> ny pair, of
+    # the 48 x 96 grid and its 96 x 192 gauge together: 1,176 + 4,656 nodes
+    calls = []
+    bracket = decoherence.angular_bracket
+
+    def counted(g):
+        f = bracket(g)
+
+        def f_counted(nx, ny, nz):
+            calls.append(nx.size)
+            return f(nx, ny, nz)
+
+        return f_counted
+
+    monkeypatch.setattr(decoherence, "angular_bracket", counted)
+    angular_integral(InterferometerGeometry(0.6, 1.0), QuadratureSpec())
+    assert calls == [1176 + 4656]
+
+
+@pytest.mark.parametrize("v", [1e-6, 0.01, 0.3, 0.9, 0.995])
+def test_angular_bracket_in_place_is_the_expression(v):
+    from softdeco.numerics import _sphere_grid
+
+    nx, ny, nz, _ = (a.copy() for a in _sphere_grid(96, 192))
+    d1, d2 = 1.0 - v * ny, 1.0 - v * nx
+    want = 2.0 / (d1 * d2) - (1.0 - v * v) * (1.0 / d1**2 + 1.0 / d2**2)
+    got = decoherence.angular_bracket(InterferometerGeometry(v, 1.0))(nx, ny, nz)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))  # signed zeros too
+    # the inputs are not among the temporaries it overwrites
+    assert all(np.array_equal(a, b) for a, b in zip((nx, ny, nz), _sphere_grid(96, 192)))
+
+
 def test_shared_passes_keep_each_request_list_apart():
     # one dict, one (tau, cut, spec), request lists that differ in weights and in lo
     g = InterferometerGeometry(0.6, 3.0)

@@ -62,6 +62,21 @@ def test_photon_momentum_null_and_validation():
         PhotonMomentum(1.0, [0.0, 0.0, 2.0])
 
 
+@pytest.mark.parametrize(
+    "n_hat, count",
+    [
+        ([0.6, 0.8], "2"),
+        ([0.6, 0.0, 0.0, 0.8], "4"),
+        ([1.0], "1"),
+        ([[0.0, 0.6, 0.8]], r"shape \(1, 3\)"),
+    ],
+)
+def test_photon_momentum_needs_three_components(n_hat, count):
+    # each of these has |n| = 1, so only the count can reject it
+    with pytest.raises(ValueError, match=f"3 components, got {count}"):
+        PhotonMomentum(1.0, n_hat)
+
+
 def test_segment_validation():
     u = four_velocity([0.0, 0.0, 0.0])
     with pytest.raises(ValueError):

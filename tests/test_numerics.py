@@ -21,9 +21,11 @@ from softdeco.numerics import (
     _FREQ_BLOCK,
     _SPHERE_BLOCK,
     _TAIL_PERIODS,
+    _orbit_columns,
     _panel_edges,
     _shared_rule,
     _sphere_grid,
+    _sphere_orbits,
     _spherical_jn,
     freq_integrate_rows,
 )
@@ -157,13 +159,23 @@ def test_sphere_blocks_sum_like_one_array():
         calls.append(nx.size)
         return 2.0 / ((1.0 - 0.7 * ny) * (1.0 - 0.7 * nx)) - 0.51 / (1.0 - 0.7 * nz) ** 2
 
-    def unblocked(n_theta, n_phi):
-        nx, ny, nz, w = _sphere_grid(n_theta, n_phi)
-        return float(np.sum(w * f(nx, ny, nz)))
-
     r = sphere_integrate(f, spec)
     assert max(calls) == _SPHERE_BLOCK and sum(calls) == 50 * 98 + 100 * 196
-    coarse, fine = unblocked(50, 98), unblocked(100, 196)
+    # the rule's order: one call on both grids, weighted, ring n_theta - 1 - i
+    # added onto ring i, then each column outside the arc of _orbit_columns
+    # onto its mirror in the arc, and one sum per grid over that quarter
+    nx, ny, nz, w = _sphere_orbits(50, 98, False, False)
+    vals = f(nx, ny, nz) * w
+    sums = []
+    for n_theta, n_phi, grid in ((50, 98, vals[: 50 * 98]), (100, 196, vals[50 * 98 :])):
+        grid = grid.reshape(n_theta, n_phi)
+        lower = grid[: n_theta // 2] + grid[n_theta - n_theta // 2 :][::-1]
+        lo, hi = _orbit_columns(n_phi)
+        quarter = lower[:, lo:hi].copy()
+        for j in [*range(lo), *range(hi, n_phi)]:
+            quarter[:, (n_phi // 4 - j) % n_phi - lo] += lower[:, j]
+        sums.append(float(np.sum(quarter)))
+    coarse, fine = sums
     assert r.value == fine
     assert r.error == abs(fine - coarse)
 
@@ -213,6 +225,7 @@ def test_sphere_grid_mirrored_rings_share_nx_ny():
         nx, ny, nz, w = (a.reshape(n_theta, 16) for a in _sphere_grid(n_theta, 16))
         assert np.array_equal(nx, nx[::-1]) and np.array_equal(ny, ny[::-1]), n_theta
         assert np.array_equal(nz, -nz[::-1]), n_theta
+        assert np.array_equal(w, w[::-1]), n_theta
         assert np.all(nz[: n_theta // 2] < 0), n_theta
         if n_theta % 2:
             assert np.all(nz[n_theta // 2] == 0.0), n_theta
@@ -232,6 +245,40 @@ def test_sphere_grid_mirrored_rings_share_nx_ny():
             turned = phi + np.pi * (n_phi % 4) / (4 * n_phi)
             assert np.abs(nx - np.outer(s, np.cos(turned))).max() <= 2e-15, n_phi
             assert np.abs(ny - np.outer(s, np.sin(turned))).max() <= 2e-15, n_phi
+
+
+@pytest.mark.parametrize("n_theta", [8, 9, 48, 49])
+@pytest.mark.parametrize("n_phi", [16, 30, 96, 97])
+@pytest.mark.parametrize("even_z", [False, True])
+@pytest.mark.parametrize("swap_xy", [False, True])
+def test_sphere_orbit_weights_count_the_mirror_images(n_theta, n_phi, even_z, swap_xy):
+    # each node the pass evaluates weighs w times the number of grid nodes its
+    # declared mirrors map it to, 1, 2 or 4, so together they weigh the grid
+    nx, ny, nz, w = _sphere_orbits(n_theta, n_phi, even_z, swap_xy)
+    assert all(not a.flags.writeable for a in (nx, ny, nz, w))
+    start = 0
+    for nt, nph in ((n_theta, n_phi), (2 * n_theta, 2 * n_phi)):
+        rings = nt - nt // 2 if even_z else nt
+        lo, hi = _orbit_columns(nph) if swap_xy else (0, nph)
+        size = rings * (hi - lo)
+        grid = [a.reshape(nt, nph)[:rings, lo:hi].ravel() for a in _sphere_grid(nt, nph)]
+        got = [a[start : start + size] for a in (nx, ny, nz, w)]
+        start += size
+        for a, b in zip(got[:3], grid[:3]):
+            assert np.array_equal(a, b)
+        i, j = np.divmod(np.arange(size), hi - lo)
+        j += lo
+        times = np.ones(size)
+        if even_z:
+            times *= np.where(i != nt - 1 - i, 2.0, 1.0)
+        if swap_xy:
+            times *= np.where(j != (nph // 4 - j) % nph, 2.0, 1.0)
+        assert set(np.unique(times)) <= {1.0, 2.0, 4.0}
+        assert np.array_equal(got[3], grid[3] * times)
+        total = float(np.sum(_sphere_grid(nt, nph)[3]))
+        assert float(np.sum(got[3])) == pytest.approx(total, rel=1e-15, abs=0)
+        assert total == pytest.approx(4.0 * math.pi, rel=1e-14, abs=0)
+    assert start == w.size
 
 
 @given(st.floats(0.05, 0.95))
