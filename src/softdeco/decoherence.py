@@ -17,20 +17,24 @@ a + b cos(x) + c sin(x): dd = (W, 0, 0), ss = (4x^2 W, 0, 0),
 DD = (8W, -8W, 0) and sD = (0, 0, 4xW), with W = [coth(beta w / 2)] / w,
 which the frequency rule integrates at a cost independent of Omega tau.
 
-The angular factor I_n depends only on v = l/tau and the frequency factor
-only on tau, the cutoffs and beta, so a batch of reports whose points share
-one of them need not compute it again: decoherence_report takes a dict,
-passes, owned by the caller for one batch (the CLI's sweep), in which it
-keeps each pass under what it depends on: the angular QuadratureResult
-under v and the spec, and the frequency factors, already contracted to one
-QuadratureResult per variant, under tau, the cutoffs, the spec and the
-variants requested.  A report that finds both only multiplies them.  The
-bracket is even in nz, and, because both arms move at the same speed v, one
-along y and one along x, symmetric under nx <-> ny; the angular pass
-declares both (sphere_integrate's even_z and swap_xy) and evaluates about a
-quarter of the sphere.  A geometry whose arms differ in speed breaks the
-second symmetry and must not declare it.  Nothing is kept at module level,
-so no result outlives the batch that made it.
+The angular factor I_n is the sphere integral of the velocity bracket
+(angular_bracket).  A Feynman parameter, 1/(d1 d2) = int_0^1 dx /
+(1 - n.u(x))^2 with u(x) = (1 - x) u1 + x u2, together with
+int dOmega / (1 - n.u)^2 = 4 pi / (1 - u^2), reduces it exactly to
+I_n = 16 pi v^2 int_0^1/2 s / ((1 - v^2) + 2 v^2 x (1 - x)) dx,
+s = x^2 + (1 - x)^2, for the two arms of speed v along y and x.
+angular_integral computes this one-dimensional integral; the sphere rule
+stays the independent cross-check of the reduction.
+
+I_n depends only on v = l/tau and the frequency factor only on tau, the
+cutoffs and beta, so a batch of reports whose points share one of them need
+not compute it again: decoherence_report takes a dict, passes, owned by the
+caller for one batch (the CLI's sweep), in which it keeps each pass under
+what it depends on: the angular QuadratureResult under v and the spec, and
+the frequency factors, already contracted to one QuadratureResult per
+variant, under tau, the cutoffs, the spec and the variants requested.  A
+report that finds both only multiplies them.  Nothing is kept at module
+level, so no result outlives the batch that made it.
 
 Hard is never a basis vector: c_sub and c_hard both grow like Omega tau, so
 a (sub, hard) basis would build dressed = ss + hh + 2 sh by cancelling terms
@@ -52,10 +56,13 @@ from .numerics import (
     EULER_GAMMA,
     QuadratureResult,
     QuadratureSpec,
+    _shared_rule,
     cosine_integral,
-    atanh_over_x,
-    freq_integrate,  # noqa: F401  (re-exported; bench/spans.py wraps it here)
     freq_integrate_rows,
+)
+from .numerics import (  # noqa: F401  (re-exported; bench/spans.py wraps them here)
+    atanh_over_x,
+    freq_integrate,
     sphere_integrate,
 )
 
@@ -132,39 +139,48 @@ def angular_bracket(g: InterferometerGeometry):
     Returns f(nx, ny, nz) evaluating
     omega^2 [ 2 V1.V2 / ((q.V1)(q.V2)) - 1/(q.V1)^2 - 1/(q.V2)^2 ],
     which depends only on the direction.  With the y- and x-directed branch
-    velocities this is nonnegative; it vanishes when v = 0.  It reads only
-    nx and ny, so it is even under nz -> -nz, and it treats them alike (the
-    arms have equal speeds), so it is symmetric under nx <-> ny to the bit.
-    f evaluates 2 / (d1 d2) - (1 - v^2) (1 / d1^2 + 1 / d2^2) operation by
-    operation in that order, in three temporaries that it overwrites in place.
+    velocities this is nonnegative; it vanishes when v = 0.  angular_integral
+    computes its sphere integral in one dimension; the bracket is the
+    reference that the tests hold that reduction to.
     """
     v = g.v
     c = 1.0 - v * v
 
     def f(nx, ny, nz):
         # V1.V2 = gamma^2 (1 - v1.v2) = gamma^2 here (orthogonal velocities)
-        d1 = v * ny
-        np.subtract(1.0, d1, out=d1)  # (q.V1)/(omega gamma)
-        d2 = v * nx
-        np.subtract(1.0, d2, out=d2)
-        out = d1 * d2
-        np.divide(2.0, out, out=out)
-        d1 *= d1
-        np.divide(1.0, d1, out=d1)
-        d2 *= d2
-        np.divide(1.0, d2, out=d2)
-        d1 += d2
-        d1 *= c
-        out -= d1
-        return out
+        d1, d2 = 1.0 - v * ny, 1.0 - v * nx  # (q.V1)/(omega gamma), (q.V2)/(omega gamma)
+        return 2.0 / (d1 * d2) - c * (1.0 / d1**2 + 1.0 / d2**2)
 
     return f
+
+
+_ANGULAR_NODES = 32  # GL order of the coarse angular rule; the fine one has twice as many
 
 
 def angular_integral(
     g: InterferometerGeometry, spec: QuadratureSpec = QuadratureSpec()
 ) -> QuadratureResult:
-    return sphere_integrate(angular_bracket(g), spec, even_z=True, swap_xy=True)
+    """I_n, the sphere integral of angular_bracket, from its one-dimensional form.
+
+    I_n = 16 pi v^2 int_0^1/2 s / (c + 2 v^2 x (1 - x)) dx, c = 1 - v^2.
+    At high v the integrand peaks at x = 0 within ~1/(2 gamma^2); the
+    substitution x = a expm1(t), a = c / (2 v^2), flattens that peak and
+    gives I_n = 8 pi int_0^T s (c + 2 v^2 x) / (c + 2 v^2 x (1 - x)) dt with
+    T = log1p(v^2 / c), a sum of positive terms at every v, with c taken as
+    (1 - v)(1 + v).  GL-32 and GL-64 in t give the value and its gauge; of
+    spec only the tolerances are read.
+    """
+    v = g.v
+    if v == 0.0:
+        return QuadratureResult(0.0, 0.0, True)
+    c = (1.0 - v) * (1.0 + v)
+    h = 2.0 * v * v
+    top = math.log1p(v * v / c)
+    nodes, weights = _shared_rule(_ANGULAR_NODES)
+    x = (c / h) * np.expm1(0.5 * top * (1.0 + nodes))
+    vals = (x * x + (1.0 - x) ** 2) * (c + h * x) / (c + h * x * (1.0 - x))
+    coarse, fine = (4.0 * math.pi * top) * (vals @ weights)
+    return QuadratureResult.from_pair(float(coarse), float(fine), spec)
 
 
 def _gram_weight(omega, beta: float | None):
@@ -291,16 +307,21 @@ def gamma(
     return _gammas(g, cut, spec, e2, [_request(variant, cut)])[0]
 
 
-def _atanh_over_x_minus_1(x: float) -> float:
-    """atanh(x)/x - 1, by its series sum x^(2k)/(2k+1) below x = 0.3.
+def _atanh_v12_over_v12_minus_1(v: float) -> float:
+    """atanh(v12)/v12 - 1 for the arms' relative speed v12 = v sqrt(2 - v^2).
 
-    The difference itself would lose the digits of x^2/3 against 1.
+    v12 = sqrt(1 - 1/(V1.V2)^2), with V1.V2 = 1/(1 - v^2).  Below v12 = 0.5
+    by the series sum v12^(2k)/(2k+1): the difference itself would lose the
+    digits of v12^2/3 against 1 (a crossover at 0.3 leaves 1.4e-14 there).
+    Above it, v12 rounds toward 1 as v grows, so atanh(v12) is taken as
+    log1p(v12) - ln((1 - v)(1 + v)), exact because 1 - v12^2 = (1 - v^2)^2.
     """
-    if x >= 0.3:
-        return atanh_over_x(x) - 1.0
-    x2 = x * x
-    # 0.09^20 is 1e-21: the terms left out are below round-off
-    return sum(x2**k / (2 * k + 1) for k in range(20, 0, -1))
+    v12 = v * math.sqrt(2.0 - v * v)
+    if v12 >= 0.5:
+        return (math.log1p(v12) - math.log((1.0 - v) * (1.0 + v))) / v12 - 1.0
+    x2 = v12 * v12
+    # 0.25^30 is 9e-19: the terms left out are below round-off
+    return sum(x2**k / (2 * k + 1) for k in range(30, 0, -1))
 
 
 @dataclass(frozen=True)
@@ -331,9 +352,7 @@ def closed_forms(
     |1 - e^{i w tau} + i w tau|^2 produces.
     """
     v = g.v
-    # relative speed of the arms, sqrt(1 - 1/(V1.V2)^2) with V1.V2 = 1/(1 - v^2)
-    v12 = v * math.sqrt(2.0 - v * v)
-    ang_exact = 8.0 * math.pi * _atanh_over_x_minus_1(v12)
+    ang_exact = 8.0 * math.pi * _atanh_v12_over_v12_minus_1(v)
 
     wt = cut.omega_uv * g.tau
     if wt > 0:

@@ -1,42 +1,17 @@
 """Special functions and quadrature engines.
 
-Two integrators carry all of the numerical work: a product Gauss-Legendre x
-trapezoid rule on the unit sphere, and a Gauss-Legendre rule on frequency
-intervals.  Both report an error gauge obtained by doubling the resolution.
+Two integrators carry the numerical work: a Gauss-Legendre rule on frequency
+intervals, and a product Gauss-Legendre x trapezoid rule on the unit sphere.
+Both report an error gauge obtained by doubling the resolution.  The angular
+factor of every Gamma needs no sphere rule, since decoherence reduces it to
+one dimension; the sphere rule is the independent cross-check of that
+reduction, and the rule of check's sphere line.
 
-The sphere rule evaluates its integrand once per pass, on the nodes of the
-grid and of its doubled grid together, in blocks of _SPHERE_BLOCK = 8192
-nodes.  A whole fine grid (96 x 192 nodes) would make every temporary of
-the integrand 147 KB, above glibc's 128 KB mmap threshold, so each one
-would be mapped afresh and page-faulted; a 64 KB block reuses the heap, and
-holds both quarters of a mirrored pass (1,176 + 4,656 nodes) in one call.
-
-An integrand declared even under nz -> -nz (sphere_integrate's even_z; the
-angular bracket of two velocities in the xy-plane is one) is evaluated only
-on the rings with cos(theta) <= 0, the equator included when n_theta is
-odd.  The Gauss-Legendre nodes are antisymmetric and the weights symmetric
-to the bit, so the mirrored ring has the same nx, ny and weight.  An
-integrand declared symmetric under nx <-> ny (swap_xy; the bracket of two
-arms of equal speed along x and y is one) is evaluated on about half of
-each ring's columns.  The ring is phi_k = 2 pi k / n + pi (n mod 4) / (4n),
-so that the reflection phi -> pi/2 - phi maps node k onto node
-k' = (n // 4 - k) mod n; ny of node k is set to nx of node k', so the two
-columns hold the same numbers swapped, to the bit.  When 4 divides n the
-offset is 0 and the nodes, nx and nz are those of phi_k = 2 pi k / n,
-while ny differs from s sin(phi_k) by round-off (under 2e-15).  The rule
-evaluates the arc of columns from phi = pi/4 to 5 pi/4, which holds each
-column that the reflection fixes and one column of each mirrored pair.
-
-Each evaluated node stands for its orbit under the declared mirrors, and
-its value is multiplied by an orbit weight: its grid weight times the size
-of the orbit, exactly 1, 2 or 4.  Where a mirror is not declared, the
-values of the mirror-image nodes are added onto those of the quarter, the
-mirrored rings first and then the mirrored columns, and each grid's
-quarter is summed once.  For an integrand with the symmetry, an orbit of
-equal values x so sums to x + x = 2x or (x + x) + (x + x) = 4x, to the bit
-what the orbit weight gives: declaring a symmetry changes the work, never
-the result.  With both symmetries a default pass (48 x 96, gauged on
-96 x 192) evaluates 1,176 + 4,656 nodes, not 23,040, and sums only those.
+The sphere rule evaluates its integrand on the grid and then on its doubled
+grid, in blocks of _SPHERE_BLOCK = 8192 nodes.  A whole fine grid (96 x 192
+nodes) would make every temporary of the integrand 147 KB, above glibc's
+128 KB mmap threshold, so each one would be mapped afresh and page-faulted;
+a 64 KB block reuses the heap.
 
 The frequency rule has two regimes.  Over the first 64 periods 2*pi/tau it
 uses panels aligned to the period, so its cost there is fixed.  Above them,
@@ -103,7 +78,11 @@ _MILLER_START = 64  # first order of the backward recurrence for j_k, kappa < 24
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Grid sizes and tolerances shared by every quadrature call."""
+    """Grid sizes and tolerances shared by every quadrature call.
+
+    n_theta and n_phi set only the sphere rule, which check's
+    sphere_vs_closed_form line runs; no Gamma reads them.
+    """
 
     n_theta: int = 48
     n_phi: int = 96
@@ -194,157 +173,39 @@ def bessel_k2(x: float) -> float:
     return float(math.exp(-x) * h * (vals.sum() - 0.5 * vals[0]))
 
 
-def _phi_mirror(n_phi: int) -> np.ndarray:
-    """k' = (n_phi // 4 - k) mod n_phi: the column at pi/2 - phi_k, for each column k."""
-    return (n_phi // 4 - np.arange(n_phi)) % n_phi
-
-
 @functools.lru_cache(maxsize=16)
 def _sphere_grid(n_theta: int, n_phi: int):
-    """Nodes and weights of the sphere rule; cached, so returned read-only.
-
-    Ring i and ring n_theta - 1 - i lie at cos(theta) = -u and u and share
-    their nx, ny and weight to the bit, which the mirrored pass relies on.
-    The ring is phi_k = 2 pi k / n_phi + pi (n_phi mod 4) / (4 n_phi), so
-    that pi/2 - phi_k is the node k' of _phi_mirror, and ny of node k is nx
-    of node k': column k' holds the nx and ny of column k swapped, to the bit.
-    """
-    u, wu = np.polynomial.legendre.leggauss(n_theta)  # u = cos(theta), ascending
-    # exact antisymmetry of the nodes and symmetry of the weights; a no-op on
-    # leggauss's output, which is symmetrised
-    u = 0.5 * (u - u[::-1])
-    wu = 0.5 * (wu + wu[::-1])
-    phi = 2.0 * np.pi * np.arange(n_phi) / n_phi + np.pi * (n_phi % 4) / (4 * n_phi)
+    """Nodes and weights of the sphere rule, ring by ring; cached, so returned read-only."""
+    u, wu = np.polynomial.legendre.leggauss(n_theta)  # u = cos(theta)
+    phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
     s = np.sqrt(1.0 - u * u)
-    nx = np.outer(s, np.cos(phi))
-    ny = nx[:, _phi_mirror(n_phi)].ravel()  # s sin(phi_k) = s cos(phi_k')
-    nx = nx.ravel()
-    nz = np.outer(u, np.ones(n_phi)).ravel()
-    w = np.outer(wu, np.full(n_phi, 2.0 * np.pi / n_phi)).ravel()
+    nx = np.outer(s, np.cos(phi)).ravel()
+    ny = np.outer(s, np.sin(phi)).ravel()
+    nz = np.repeat(u, n_phi)
+    w = np.repeat(wu * (2.0 * np.pi / n_phi), n_phi)
     for a in (nx, ny, nz, w):
         a.flags.writeable = False
     return nx, ny, nz, w
 
 
-def _orbit_columns(n_phi: int) -> tuple[int, int]:
-    """Columns lo..hi - 1: one column of each orbit of _phi_mirror.
-
-    The mirror k -> m - k (mod n_phi), m = n_phi // 4, fixes the directions
-    phi = pi/4 and 5 pi/4, of which both, one or none are columns, as n_phi
-    goes; the arc of columns from the one to the other, ends included, holds
-    each fixed column once and one column of each mirrored pair.
-    """
-    m = n_phi // 4
-    return (m + 1) // 2, (m + n_phi) // 2 + 1
-
-
-def _pass_shape(n_theta: int, n_phi: int, even_z: bool, swap_xy: bool):
-    """Rings and columns lo..hi - 1 of the grid that a pass evaluates."""
-    rings = n_theta - n_theta // 2 if even_z else n_theta
-    lo, hi = _orbit_columns(n_phi) if swap_xy else (0, n_phi)
-    return rings, lo, hi
-
-
-@functools.lru_cache(maxsize=16)
-def _sphere_orbits(n_theta: int, n_phi: int, even_z: bool, swap_xy: bool):
-    """Nodes and orbit weights of a pass, both grids in one read-only array each.
-
-    Under even_z the rings with cos(theta) <= 0, under swap_xy the columns
-    of _orbit_columns, row-major, of the n_theta x n_phi grid and then of its
-    doubled grid.  A node's orbit weight is its grid weight w times the
-    number of nodes that the declared mirrors map it to: 2 for a ring off
-    the equator under even_z, 2 for a column off phi = pi/4, 5 pi/4 under
-    swap_xy, and the product of the two, so exactly 1, 2 or 4.
-    """
-    parts = ([], [], [], [])
-    for nt, nph in ((n_theta, n_phi), (2 * n_theta, 2 * n_phi)):
-        rings, lo, hi = _pass_shape(nt, nph, even_z, swap_xy)
-        times = np.ones((rings, hi - lo))
-        if even_z:
-            times[: nt // 2] *= 2.0
-        if swap_xy:
-            times[:, _phi_mirror(nph)[lo:hi] != np.arange(lo, hi)] *= 2.0
-        nx, ny, nz, w = (a.reshape(nt, nph)[:rings, lo:hi] for a in _sphere_grid(nt, nph))
-        for part, a in zip(parts, (nx, ny, nz, w * times)):
-            part.append(a.ravel())
-    arrays = tuple(np.concatenate(part) for part in parts)
-    for a in arrays:
-        a.flags.writeable = False
-    return arrays
-
-
-def _fold_rings(vals: np.ndarray) -> np.ndarray:
-    """Add ring n_theta - 1 - i onto ring i; the rings with cos(theta) <= 0, in place."""
-    n_theta = vals.shape[0]
-    rings = n_theta - n_theta // 2
-    vals[: n_theta // 2] += vals[rings:][::-1]
-    return vals[:rings]
-
-
-def _fold_columns(vals: np.ndarray) -> np.ndarray:
-    """Add each column outside the _orbit_columns arc onto its mirror in it; a new array."""
-    n_phi = vals.shape[1]
-    m, (lo, hi) = n_phi // 4, _orbit_columns(n_phi)
-    arc = vals[:, lo:hi].copy()
-    # column j < lo mirrors onto column m - j, j >= hi onto m - j + n_phi
-    arc[:, m + 1 - 2 * lo : m + 1 - lo] += vals[:, :lo][:, ::-1]
-    arc[:, m + 1 - lo : m + 1 - lo + n_phi - hi] += vals[:, hi:][:, ::-1]
-    return arc
-
-
-def _sphere_pass(f, n_theta, n_phi, even_z=False, swap_xy=False):
-    """Sums of w f(nx, ny, nz) over the n_theta x n_phi grid and its doubled one.
-
-    f is called on the nodes of _sphere_orbits, in blocks of _SPHERE_BLOCK;
-    the values are multiplied by the orbit weights.  For each mirror that is
-    not declared, the mirror image of every value is added onto the quarter,
-    rings first and then columns, and each grid's quarter is summed by one
-    np.sum: an orbit of equal values x sums to x + x = 2x or (x + x) + (x + x)
-    = 4x, as its orbit weight gives, so declaring a symmetry that f has moves
-    no bit.  Returns (coarse, fine).
-    """
-    nx, ny, nz, w = _sphere_orbits(n_theta, n_phi, even_z, swap_xy)
-    vals = np.empty_like(w)
-    for start in range(0, w.size, _SPHERE_BLOCK):
-        block = slice(start, start + _SPHERE_BLOCK)
-        vals[block] = f(nx[block], ny[block], nz[block])
-    vals *= w
-    sums, start = [], 0
-    for nt, nph in ((n_theta, n_phi), (2 * n_theta, 2 * n_phi)):
-        rings, lo, hi = _pass_shape(nt, nph, even_z, swap_xy)
-        quarter = vals[start : start + rings * (hi - lo)].reshape(rings, hi - lo)
-        start += quarter.size
-        if not even_z:
-            quarter = _fold_rings(quarter)
-        if not swap_xy:
-            quarter = _fold_columns(quarter)
-        sums.append(float(np.sum(quarter)))
-    return sums
-
-
-def sphere_integrate(
-    f, spec: QuadratureSpec = QuadratureSpec(), *, even_z: bool = False, swap_xy: bool = False
-) -> QuadratureResult:
+def sphere_integrate(f, spec: QuadratureSpec = QuadratureSpec()) -> QuadratureResult:
     """Integrate f(nx, ny, nz) over the unit sphere.
 
     f must accept numpy arrays of direction components and act on them
-    elementwise: it is called once per block of nodes, on the grid and its
-    doubled grid together.  Gauss-Legendre in cos(theta) and periodic
-    trapezoid in phi converge spectrally for smooth integrands; the error
-    gauge compares against the doubled grid.  even_z declares f even under
-    nz -> -nz, so that only the rings with cos(theta) <= 0 are evaluated;
-    swap_xy declares f symmetric under nx <-> ny, so that only one column of
-    each mirrored pair is.  With both, f sees about a quarter of the nodes.
-    Each evaluated value is weighed by its orbit under the declared mirrors
-    (1, 2 or 4 nodes); the values of an undeclared mirror's images are added
-    onto the quarter instead, so every pass sums the same quarter in the
-    same order.  For an f that reads nz only through an even function, or
-    not at all, and whose arithmetic treats nx and ny alike (the same
-    operations, commutative ones where they meet), the result is the same
-    bits as without.
+    elementwise: it is called on blocks of at most _SPHERE_BLOCK nodes.
+    Gauss-Legendre in cos(theta) and periodic trapezoid in phi converge
+    spectrally for smooth integrands; the error gauge compares the
+    n_theta x n_phi grid of spec against its doubled grid.
     """
-    coarse, fine = _sphere_pass(f, spec.n_theta, spec.n_phi, even_z, swap_xy)
-    return QuadratureResult.from_pair(coarse, fine, spec)
+    sums = []
+    for n_theta, n_phi in ((spec.n_theta, spec.n_phi), (2 * spec.n_theta, 2 * spec.n_phi)):
+        nx, ny, nz, w = _sphere_grid(n_theta, n_phi)
+        vals = np.empty_like(w)
+        for start in range(0, w.size, _SPHERE_BLOCK):
+            block = slice(start, start + _SPHERE_BLOCK)
+            vals[block] = f(nx[block], ny[block], nz[block])
+        sums.append(float(w @ vals))
+    return QuadratureResult.from_pair(*sums, spec)
 
 
 def _panel_edges(lo: float, hi: float, tau: float, panels_per_period: int) -> np.ndarray:
@@ -368,15 +229,19 @@ def _panel_edges(lo: float, hi: float, tau: float, panels_per_period: int) -> np
     return np.unique(np.asarray(edges, dtype=float))
 
 
-@functools.lru_cache(maxsize=1)
-def _shared_rule():
-    """GL-12 and GL-24 nodes on [-1, 1] side by side, one weight column per order."""
-    x12, w12 = np.polynomial.legendre.leggauss(_GL_NODES)
-    x24, w24 = np.polynomial.legendre.leggauss(2 * _GL_NODES)
-    weights = np.zeros((3 * _GL_NODES, 2))
-    weights[:_GL_NODES, 0] = w12
-    weights[_GL_NODES:, 1] = w24
-    nodes = np.concatenate([x12, x24])
+@functools.lru_cache(maxsize=4)
+def _shared_rule(n: int = _GL_NODES):
+    """GL-n and GL-2n nodes on [-1, 1] side by side, one weight column per order.
+
+    The frequency panels use n = _GL_NODES; decoherence's angular factor
+    uses n = 32.
+    """
+    xn, wn = np.polynomial.legendre.leggauss(n)
+    x2n, w2n = np.polynomial.legendre.leggauss(2 * n)
+    weights = np.zeros((3 * n, 2))
+    weights[:n, 0] = wn
+    weights[n:, 1] = w2n
+    nodes = np.concatenate([xn, x2n])
     nodes.flags.writeable = weights.flags.writeable = False
     return nodes, weights
 

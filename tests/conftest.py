@@ -5,8 +5,8 @@ from softdeco import decoherence
 
 @pytest.fixture
 def pass_counts(monkeypatch):
-    """Calls of each quadrature entry point that decoherence looks up, counted during the test."""
-    calls = {"sphere_integrate": 0, "freq_integrate": 0, "freq_integrate_rows": 0}
+    """Calls of the angular and frequency passes that decoherence looks up, counted during the test."""
+    calls = {"angular_integral": 0, "freq_integrate": 0, "freq_integrate_rows": 0}
     for name in calls:
         original = getattr(decoherence, name)
 

@@ -208,6 +208,17 @@ def test_gamma_zero_side_geometry(tmp_path, capsys):
     assert payload["which_path"]["V_max"] == 1.0
 
 
+def test_gamma_near_light_speed(tmp_path, capsys):
+    # the arms' relative speed v12 = v sqrt(2 - v^2) rounds to 1 here, so the
+    # closed form must not take atanh(v12) directly
+    cfg = {**BASE, "geometry": {"l": 0.99999999999999, "tau": 1.0}}
+    path = write_config(tmp_path, cfg)
+    assert cli.main(["gamma", "--config", path], environ={}) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["converged"]
+    assert max(payload["deviation"].values()) < 1e-14
+
+
 def _sweep_cfg(points=5, start=1.0, stop=100.0, parameter="cutoffs.omega_uv"):
     cfg = json.loads(json.dumps(BASE))
     cfg["sweep"] = {
@@ -368,7 +379,6 @@ def _sweep_bytes(path, out):
         ("cutoffs.omega_uv", 50.0, 400.0),
         ("cutoffs.lambda_ir", 1e-4, 1e-2),
         ("cutoffs.beta", 0.5, 4.0),
-        ("quadrature.n_theta", 8.0, 24.0),
         ("quadrature.panels_per_period", 4.0, 8.0),
     ],
 )
@@ -409,7 +419,7 @@ def test_sweep_computes_each_pass_once(
 ):
     path = _reuse_sweep(tmp_path, parameter, start, stop, points=4)
     _sweep_bytes(path, tmp_path / "a.csv")
-    want = {"sphere_integrate": angular, "freq_integrate": 0, "freq_integrate_rows": frequency}
+    want = {"angular_integral": angular, "freq_integrate": 0, "freq_integrate_rows": frequency}
     assert pass_counts == want
     # a second sweep in the same process reuses nothing from the first
     _sweep_bytes(path, tmp_path / "b.csv")
@@ -421,7 +431,7 @@ def test_repeated_gamma_runs_every_pass(tmp_path, pass_counts):
     out = str(tmp_path / "gamma.json")
     for _ in range(2):
         assert cli.main(["gamma", "--config", path, "--out", out], environ={}) == 0
-    assert pass_counts == {"sphere_integrate": 2, "freq_integrate": 0, "freq_integrate_rows": 2}
+    assert pass_counts == {"angular_integral": 2, "freq_integrate": 0, "freq_integrate_rows": 2}
 
 
 def test_sweep_leaves_the_config_unchanged(tmp_path):

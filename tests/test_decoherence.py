@@ -14,7 +14,6 @@ from softdeco import (
     QuadratureSpec,
     VARIANTS,
     angular_integral,
-    atanh_over_x,
     closed_forms,
     decoherence_report,
     delta_current,
@@ -22,6 +21,7 @@ from softdeco import (
     divergence_coefficient,
     gamma,
     gamma_kernel,
+    sphere_integrate,
 )
 from softdeco import decoherence
 from softdeco.decoherence import _gram_rows
@@ -75,21 +75,46 @@ def test_angular_integral_vs_closed_form():
     for v in (0.05, 0.2, 0.5, 0.8):
         g = InterferometerGeometry(v, 1.0)
         got = angular_integral(g).value
-        x12 = 1.0 / (1.0 - v * v)
-        v12 = math.sqrt(1.0 - 1.0 / x12**2)
-        want = 8.0 * math.pi * (atanh_over_x(v12) - 1.0)
-        assert got == pytest.approx(want, rel=1e-8, abs=0)
+        # atanh_over_x(v12) - 1 would cancel 5.7e-14 of it at v = 0.05
+        want = closed_forms(g, CutoffSet(omega_uv=1.0)).angular_exact
+        assert got == pytest.approx(want, rel=1e-14, abs=0)
 
 
-@pytest.mark.parametrize("v", [1e-6, 1e-4, 1e-2, 0.5, 0.99])
-def test_angular_closed_form_against_mpmath(v):
+def _angular_mpmath(v):
+    """8 pi [atanh(v12)/v12 - 1], v12 = v sqrt(2 - v^2), at 50 digits."""
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(50):
         mv = mpmath.mpf(v)
         v12 = mv * mpmath.sqrt(2 - mv * mv)
-        want = float(8 * mpmath.pi * (mpmath.atanh(v12) / v12 - 1))
+        return 8 * mpmath.pi * (mpmath.atanh(v12) / v12 - 1)
+
+
+@pytest.mark.parametrize(
+    "v", [1e-6, 1e-4, 1e-2, 0.5, 0.98, 0.99, 0.995, 0.9999, 1 - 5e-7, 1 - 1e-9]
+)
+def test_angular_closed_form_against_mpmath(v):
+    want = float(_angular_mpmath(v))
     got = closed_forms(InterferometerGeometry(v, 1.0), CutoffSet(omega_uv=1.0)).angular_exact
     assert abs(got - want) <= 1e-14 * want
+
+
+@pytest.mark.parametrize(
+    "v", [1e-8, 1e-6, 1e-3, 0.01, 0.5, 0.99, 0.995, 0.999, 0.9999, 1 - 1e-14]
+)
+def test_angular_integral_against_mpmath(v):
+    want = _angular_mpmath(v)
+    got = angular_integral(InterferometerGeometry(v, 1.0))
+    assert got.converged
+    assert got.value == pytest.approx(float(want), rel=1e-15, abs=0)
+    # the gauge covers the true deviation
+    assert abs(got.value - want) <= got.error + 1e-15 * want
+
+
+@pytest.mark.parametrize("v", [0.05, 0.3, 0.6, 0.9])
+def test_angular_integral_is_the_sphere_pass_of_the_bracket(v):
+    g = InterferometerGeometry(v, 1.0)
+    sphere = sphere_integrate(decoherence.angular_bracket(g), QuadratureSpec())
+    assert sphere.value == pytest.approx(angular_integral(g).value, rel=1e-12, abs=0)
 
 
 def test_angular_integral_small_v_limit():
@@ -210,51 +235,7 @@ def test_variants_match_independent_closed_forms_at_wide_band():
 def test_one_angular_and_one_frequency_pass_per_report(pass_counts):
     g = InterferometerGeometry(0.2, 3.0)
     decoherence_report(g, CutoffSet(omega_uv=15.0, lambda_ir=1e-4), FAST)
-    assert pass_counts == {"sphere_integrate": 1, "freq_integrate": 0, "freq_integrate_rows": 1}
-
-
-@pytest.mark.parametrize("n_theta, n_phi", [(16, 32), (48, 96), (49, 97), (61, 30)])
-def test_angular_integral_mirrored_is_the_full_pass(n_theta, n_phi):
-    from softdeco.numerics import sphere_integrate
-
-    spec = QuadratureSpec(n_theta=n_theta, n_phi=n_phi)
-    for v in (1e-6, 0.05, 0.3, 0.7, 0.9, 0.98, 0.995):
-        g = InterferometerGeometry(v, 1.0)
-        full = sphere_integrate(decoherence.angular_bracket(g), spec)
-        assert angular_integral(g, spec) == full, v
-
-
-def test_default_angular_pass_is_one_integrand_call(monkeypatch):
-    # the rings with cos(theta) <= 0 and one column of each nx <-> ny pair, of
-    # the 48 x 96 grid and its 96 x 192 gauge together: 1,176 + 4,656 nodes
-    calls = []
-    bracket = decoherence.angular_bracket
-
-    def counted(g):
-        f = bracket(g)
-
-        def f_counted(nx, ny, nz):
-            calls.append(nx.size)
-            return f(nx, ny, nz)
-
-        return f_counted
-
-    monkeypatch.setattr(decoherence, "angular_bracket", counted)
-    angular_integral(InterferometerGeometry(0.6, 1.0), QuadratureSpec())
-    assert calls == [1176 + 4656]
-
-
-@pytest.mark.parametrize("v", [1e-6, 0.01, 0.3, 0.9, 0.995])
-def test_angular_bracket_in_place_is_the_expression(v):
-    from softdeco.numerics import _sphere_grid
-
-    nx, ny, nz, _ = (a.copy() for a in _sphere_grid(96, 192))
-    d1, d2 = 1.0 - v * ny, 1.0 - v * nx
-    want = 2.0 / (d1 * d2) - (1.0 - v * v) * (1.0 / d1**2 + 1.0 / d2**2)
-    got = decoherence.angular_bracket(InterferometerGeometry(v, 1.0))(nx, ny, nz)
-    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))  # signed zeros too
-    # the inputs are not among the temporaries it overwrites
-    assert all(np.array_equal(a, b) for a, b in zip((nx, ny, nz), _sphere_grid(96, 192)))
+    assert pass_counts == {"angular_integral": 1, "freq_integrate": 0, "freq_integrate_rows": 1}
 
 
 def test_shared_passes_keep_each_request_list_apart():
@@ -281,7 +262,7 @@ def test_one_angular_and_one_frequency_pass_per_divergence_fit(pass_counts):
     cut = CutoffSet(omega_uv=15.0, lambda_ir=1e-4)
     for variant in ("full", "dressed"):
         divergence_coefficient(g, cut, FAST, variant=variant)
-    assert pass_counts == {"sphere_integrate": 2, "freq_integrate": 0, "freq_integrate_rows": 2}
+    assert pass_counts == {"angular_integral": 2, "freq_integrate": 0, "freq_integrate_rows": 2}
 
 
 def test_full_requires_ir_cutoff():

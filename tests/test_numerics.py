@@ -21,11 +21,9 @@ from softdeco.numerics import (
     _FREQ_BLOCK,
     _SPHERE_BLOCK,
     _TAIL_PERIODS,
-    _orbit_columns,
     _panel_edges,
     _shared_rule,
     _sphere_grid,
-    _sphere_orbits,
     _spherical_jn,
     freq_integrate_rows,
 )
@@ -161,63 +159,11 @@ def test_sphere_blocks_sum_like_one_array():
 
     r = sphere_integrate(f, spec)
     assert max(calls) == _SPHERE_BLOCK and sum(calls) == 50 * 98 + 100 * 196
-    # the rule's order: one call on both grids, weighted, ring n_theta - 1 - i
-    # added onto ring i, then each column outside the arc of _orbit_columns
-    # onto its mirror in the arc, and one sum per grid over that quarter
-    nx, ny, nz, w = _sphere_orbits(50, 98, False, False)
-    vals = f(nx, ny, nz) * w
-    sums = []
-    for n_theta, n_phi, grid in ((50, 98, vals[: 50 * 98]), (100, 196, vals[50 * 98 :])):
-        grid = grid.reshape(n_theta, n_phi)
-        lower = grid[: n_theta // 2] + grid[n_theta - n_theta // 2 :][::-1]
-        lo, hi = _orbit_columns(n_phi)
-        quarter = lower[:, lo:hi].copy()
-        for j in [*range(lo), *range(hi, n_phi)]:
-            quarter[:, (n_phi // 4 - j) % n_phi - lo] += lower[:, j]
-        sums.append(float(np.sum(quarter)))
-    coarse, fine = sums
+    # the values of each grid, evaluated as one array, weighted and summed once
+    grids = (_sphere_grid(50, 98), _sphere_grid(100, 196))
+    coarse, fine = (float(w @ f(nx, ny, nz)) for nx, ny, nz, w in grids)
     assert r.value == fine
     assert r.error == abs(fine - coarse)
-
-
-_MIRROR_SPEEDS = (1e-6, 0.05, 0.5, 0.9, 0.98, 0.995)
-# columns of a ring that the reflection nx <-> ny maps onto themselves (phi = pi/4
-# or 5 pi/4 is a node), for each n_phi of the tests and its doubled grid
-_FIXED_COLUMNS = {16: 2, 32: 2, 30: 0, 60: 0, 96: 2, 192: 2, 97: 1, 194: 2}
-
-
-def _evaluated(n_theta, n_phi, even_z, swap_xy):
-    """Nodes a pass evaluates: rings with cos(theta) <= 0, one column per nx <-> ny orbit."""
-    rings = n_theta - n_theta // 2 if even_z else n_theta
-    cols = (n_phi + _FIXED_COLUMNS[n_phi]) // 2 if swap_xy else n_phi
-    return rings * cols
-
-
-@pytest.mark.parametrize("n_theta", [8, 9, 48, 49, 61])
-@pytest.mark.parametrize("n_phi", [16, 30, 96, 97])
-def test_sphere_even_z_is_the_full_pass(n_theta, n_phi):
-    # the velocity bracket of the x- and y-directed arms, even in nz and
-    # symmetric under nx <-> ny
-    spec = QuadratureSpec(n_theta=n_theta, n_phi=n_phi)
-    calls = []
-    for v in _MIRROR_SPEEDS:
-
-        def f(nx, ny, nz, v=v):
-            calls.append(nx.size)
-            d1, d2 = 1.0 - v * ny, 1.0 - v * nx
-            return 2.0 / (d1 * d2) - (1.0 - v * v) * (1.0 / d1**2 + 1.0 / d2**2)
-
-        full = sphere_integrate(f, spec)
-        del calls[:]
-        for even_z, swap_xy in [(True, False), (False, True), (True, True)]:
-            mirrored = sphere_integrate(f, spec, even_z=even_z, swap_xy=swap_xy)
-            assert mirrored == full, (v, even_z, swap_xy, mirrored, full)
-            # only the rings with cos(theta) <= 0: the equator too when n_theta is
-            # odd; only one column of each mirrored pair, and the fixed columns
-            assert sum(calls) == _evaluated(n_theta, n_phi, even_z, swap_xy) + _evaluated(
-                2 * n_theta, 2 * n_phi, even_z, swap_xy
-            )
-            del calls[:]
 
 
 def test_sphere_grid_mirrored_rings_share_nx_ny():
@@ -229,56 +175,13 @@ def test_sphere_grid_mirrored_rings_share_nx_ny():
         assert np.all(nz[: n_theta // 2] < 0), n_theta
         if n_theta % 2:
             assert np.all(nz[n_theta // 2] == 0.0), n_theta
-    # column k' = (n_phi // 4 - k) mod n_phi is column k reflected in the plane x = y
-    for n_phi in range(16, 201):
+    # each ring is phi_k = 2 pi k / n_phi, and the weights sum to 4 pi
+    for n_phi in (16, 30, 96, 97):
         nx, ny, nz, w = (a.reshape(9, n_phi) for a in _sphere_grid(9, n_phi))
-        mirror = (n_phi // 4 - np.arange(n_phi)) % n_phi
-        assert np.array_equal(nx, ny[:, mirror]) and np.array_equal(ny, nx[:, mirror]), n_phi
         phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
         s = np.sqrt(1.0 - nz[:, :1] ** 2)
-        if n_phi % 4 == 0:
-            # the node set phi_k = 2 pi k / n_phi, with nx to the bit
-            assert np.array_equal(nx, np.outer(s, np.cos(phi))), n_phi
-            assert np.abs(ny - np.outer(s, np.sin(phi))).max() <= 2e-15, n_phi
-        else:
-            # the same ring turned by pi (n_phi mod 4) / (4 n_phi)
-            turned = phi + np.pi * (n_phi % 4) / (4 * n_phi)
-            assert np.abs(nx - np.outer(s, np.cos(turned))).max() <= 2e-15, n_phi
-            assert np.abs(ny - np.outer(s, np.sin(turned))).max() <= 2e-15, n_phi
-
-
-@pytest.mark.parametrize("n_theta", [8, 9, 48, 49])
-@pytest.mark.parametrize("n_phi", [16, 30, 96, 97])
-@pytest.mark.parametrize("even_z", [False, True])
-@pytest.mark.parametrize("swap_xy", [False, True])
-def test_sphere_orbit_weights_count_the_mirror_images(n_theta, n_phi, even_z, swap_xy):
-    # each node the pass evaluates weighs w times the number of grid nodes its
-    # declared mirrors map it to, 1, 2 or 4, so together they weigh the grid
-    nx, ny, nz, w = _sphere_orbits(n_theta, n_phi, even_z, swap_xy)
-    assert all(not a.flags.writeable for a in (nx, ny, nz, w))
-    start = 0
-    for nt, nph in ((n_theta, n_phi), (2 * n_theta, 2 * n_phi)):
-        rings = nt - nt // 2 if even_z else nt
-        lo, hi = _orbit_columns(nph) if swap_xy else (0, nph)
-        size = rings * (hi - lo)
-        grid = [a.reshape(nt, nph)[:rings, lo:hi].ravel() for a in _sphere_grid(nt, nph)]
-        got = [a[start : start + size] for a in (nx, ny, nz, w)]
-        start += size
-        for a, b in zip(got[:3], grid[:3]):
-            assert np.array_equal(a, b)
-        i, j = np.divmod(np.arange(size), hi - lo)
-        j += lo
-        times = np.ones(size)
-        if even_z:
-            times *= np.where(i != nt - 1 - i, 2.0, 1.0)
-        if swap_xy:
-            times *= np.where(j != (nph // 4 - j) % nph, 2.0, 1.0)
-        assert set(np.unique(times)) <= {1.0, 2.0, 4.0}
-        assert np.array_equal(got[3], grid[3] * times)
-        total = float(np.sum(_sphere_grid(nt, nph)[3]))
-        assert float(np.sum(got[3])) == pytest.approx(total, rel=1e-15, abs=0)
-        assert total == pytest.approx(4.0 * math.pi, rel=1e-14, abs=0)
-    assert start == w.size
+        assert np.array_equal(nx, s * np.cos(phi)) and np.array_equal(ny, s * np.sin(phi)), n_phi
+        assert float(np.sum(w)) == pytest.approx(4.0 * math.pi, rel=1e-14, abs=0), n_phi
 
 
 @given(st.floats(0.05, 0.95))
