@@ -117,6 +117,20 @@ def test_angular_integral_is_the_sphere_pass_of_the_bracket(v):
     assert sphere.value == pytest.approx(angular_integral(g).value, rel=1e-12, abs=0)
 
 
+@pytest.mark.parametrize("v", [1e-6, 0.01, 0.3, 0.9, 0.995])
+def test_angular_bracket_in_place_is_the_expression(v):
+    # the bracket, the reference of angular_integral, is the written expression
+    # to the bit, and leaves the direction arrays it is handed as they were
+    from softdeco.numerics import _sphere_grid
+
+    nx, ny, nz, _ = (a.copy() for a in _sphere_grid(96, 192))
+    d1, d2 = 1.0 - v * ny, 1.0 - v * nx
+    want = 2.0 / (d1 * d2) - (1.0 - v * v) * (1.0 / d1**2 + 1.0 / d2**2)
+    got = decoherence.angular_bracket(InterferometerGeometry(v, 1.0))(nx, ny, nz)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))  # signed zeros too
+    assert all(np.array_equal(a, b) for a, b in zip((nx, ny, nz), _sphere_grid(96, 192)))
+
+
 def test_angular_integral_small_v_limit():
     v = 1e-3
     g = InterferometerGeometry(v, 1.0)

@@ -184,6 +184,61 @@ def test_sphere_grid_mirrored_rings_share_nx_ny():
         assert float(np.sum(w)) == pytest.approx(4.0 * math.pi, rel=1e-14, abs=0), n_phi
 
 
+def _asymmetric(nx, ny, nz):
+    """A smooth integrand with neither mirror symmetry."""
+    return np.exp(0.9 * nx - 0.4 * ny + 0.7 * nz) / (1.0 - 0.5 * nx - 0.3 * ny)
+
+
+@pytest.mark.parametrize("n_theta", [8, 9, 48, 49])
+@pytest.mark.parametrize("n_phi", [16, 30, 96, 97])
+@pytest.mark.parametrize("even_z", [False, True])
+@pytest.mark.parametrize("swap_xy", [False, True])
+def test_sphere_orbit_weights_count_the_mirror_images(n_theta, n_phi, even_z, swap_xy):
+    # the mirrors nz -> -nz (even_z) and nx <-> ny (swap_xy) map each node of a
+    # grid onto a node of the same weight: the first always, the second when 4
+    # divides n_phi, column k onto (n_phi // 4 - k) mod n_phi.  Then one node
+    # of each orbit, weighed w times the number of its images (1, 2 or 4),
+    # weighs the grid, and the rule gives f and f after the mirrors alike.
+    symmetric = True
+    for nt, nph in ((n_theta, n_phi), (2 * n_theta, 2 * n_phi)):
+        nx, ny, nz, w = (a.reshape(nt, nph) for a in _sphere_grid(nt, nph))
+        assert all(not a.flags.writeable for a in (nx, ny, nz, w))
+        total = float(np.sum(w))
+        assert total == pytest.approx(4.0 * math.pi, rel=1e-14, abs=0)
+        if swap_xy and nph % 4:
+            # pi/2 - phi_k is no node: the reflection does not map the grid onto itself
+            turns = np.arctan2(nx, ny) * (nph / (2.0 * np.pi))
+            assert np.abs(turns - np.round(turns)).min() > 0.1
+            symmetric = False
+            continue
+        rows = np.arange(nt)[::-1] if even_z else np.arange(nt)
+        cols = (nph // 4 - np.arange(nph)) % nph if swap_xy else np.arange(nph)
+        image = [a[rows][:, cols] for a in (nx, ny, nz, w)]
+        mx, my = (ny, nx) if swap_xy else (nx, ny)
+        mz = -nz if even_z else nz
+        assert np.abs(image[0] - mx).max() <= 2e-15 and np.abs(image[1] - my).max() <= 2e-15
+        assert np.array_equal(image[2], mz) and np.array_equal(image[3], w)
+        i, k = np.meshgrid(np.arange(nt), np.arange(nph), indexing="ij")
+        times = np.where(i != rows[i], 2.0, 1.0) * np.where(k != cols[k], 2.0, 1.0)
+        assert set(np.unique(times)) <= {1.0, 2.0, 4.0}
+        one_per_orbit = (i <= rows[i]) & (k <= cols[k])
+        orbits = float(np.sum((w * times)[one_per_orbit]))
+        assert orbits == pytest.approx(total, rel=1e-15, abs=0)
+
+    def mirrored(nx, ny, nz):
+        if even_z:
+            nz = -nz
+        if swap_xy:
+            nx, ny = ny, nx
+        return _asymmetric(nx, ny, nz)
+
+    spec = QuadratureSpec(n_theta=n_theta, n_phi=n_phi)
+    plain, image = sphere_integrate(_asymmetric, spec), sphere_integrate(mirrored, spec)
+    # to rounding on a symmetric grid pair, else within the two gauges
+    bound = 2e-15 * plain.value + (0.0 if symmetric else plain.error + image.error)
+    assert abs(image.value - plain.value) <= bound
+
+
 @given(st.floats(0.05, 0.95))
 @settings(max_examples=20, deadline=None)
 def test_sphere_doppler_identity(v):
